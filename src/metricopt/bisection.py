@@ -19,9 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingSpec
-from .confusion import LabelMatrix, PredictionMatrix, ProbabilityField
-from .decision import LossTensor, WeightedClassifier
+from .averaging import AveragingSpec, micro_confusion
+from .confusion import (
+    LabelMatrix,
+    PredictionMatrix,
+    ProbabilityField,
+    expected_confusion,
+    sample_confusion,
+)
+from .decision import LossTensor, WeightedClassifier, weighted_predict
 from .errors import GuardError
 from .metrics import FractionalLinearMetric, MetricSpec, _eval_batch, loss_from_gamma
 
@@ -35,30 +41,17 @@ class BisectionConfig:
     """Search parameters.
 
     ``iterations`` fixes the number of halvings (50 reaches machine
-    precision).  ``use_iteration_schedule`` switches to kappa * N iterations
-    for fidelity runs; the extra iterations are redundant beyond ~50 since the
-    bracket width is 2^-t.
+    precision); ``eval_mode`` picks the confusion that scores candidates.
     """
 
     iterations: int = 50
-    seed: int = 0
-    averaging: str = "micro"
     eval_mode: str = "sample"
-    use_iteration_schedule: bool = False
-    kappa: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.averaging not in ("micro", "macro"):
-            raise ValueError(f"averaging must be micro or macro, got {self.averaging!r}")
         if self.eval_mode not in ("sample", "expected"):
             raise ValueError(f"eval_mode must be sample or expected, got {self.eval_mode!r}")
-        if self.kappa < 1:
-            raise ValueError("kappa must be at least 1")
-
-    def effective_iterations(self, n_eval: int) -> int:
-        return self.kappa * n_eval if self.use_iteration_schedule else self.iterations
 
 
 @dataclass(frozen=True)
@@ -97,50 +90,23 @@ class BisectionTrace:
         }
 
 
-def _shared_predict(loss_matrix: np.ndarray, probs_vals: np.ndarray) -> np.ndarray:
-    """Apply one K x K loss to every output; returns 1-based (N, M) classes.
-
-    Candidate class k is scored by column k of the loss, matching the
-    rows-are-true orientation of the loss and confusion matrices.
-    """
-    scores = np.einsum("lk,nml->nmk", loss_matrix, probs_vals)
-    return np.argmin(scores, axis=2) + 1
-
-
-def _micro_confusion_raw(
-    labels_vals: np.ndarray,
-    preds_vals: np.ndarray,
-    probs_vals: np.ndarray,
-    eval_mode: str,
-    weights: np.ndarray,
-    n_classes: int,
-) -> np.ndarray:
-    n = preds_vals.shape[0]
-    mic_t = np.zeros((n_classes, n_classes))  # (predicted, true)
-    for m in range(preds_vals.shape[1]):
-        acc_t = np.zeros((n_classes, n_classes))
-        if eval_mode == "sample":
-            np.add.at(acc_t, (preds_vals[:, m] - 1, labels_vals[:, m] - 1), 1.0)
-        else:
-            np.add.at(acc_t, preds_vals[:, m] - 1, probs_vals[:, m, :])
-        mic_t += weights[m] * acc_t
-    return mic_t.T / n
-
-
 def _bisect_single(
-    labels_vals: np.ndarray,
-    probs_vals: np.ndarray,
+    labels: LabelMatrix,
+    probs: ProbabilityField,
     flm: FractionalLinearMetric,
-    iterations: int,
-    eval_mode: str,
+    cfg: BisectionConfig,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, float, list[IterationRecord]]:
-    k = flm.n_classes
+    k, m_out = flm.n_classes, probs.n_outputs
 
     def utility_of(loss_matrix: np.ndarray) -> float:
-        preds = _shared_predict(loss_matrix, probs_vals)
-        conf = _micro_confusion_raw(labels_vals, preds, probs_vals, eval_mode, weights, k)
-        return flm.evaluate(conf)
+        classifier = WeightedClassifier(LossTensor.shared(loss_matrix, m_out))
+        preds = weighted_predict(classifier, probs)
+        if cfg.eval_mode == "sample":
+            conf = sample_confusion(labels, preds)
+        else:
+            conf = expected_confusion(probs, preds)
+        return flm.evaluate(micro_confusion(conf, weights))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
@@ -149,7 +115,7 @@ def _bisect_single(
 
     lower, upper = 0.0, 1.0
     records: list[IterationRecord] = []
-    for t in range(1, iterations + 1):
+    for t in range(1, cfg.iterations + 1):
         gamma = 0.5 * (lower + upper)
         cand_loss = loss_from_gamma(flm, gamma).values
         cand_utility = utility_of(cand_loss)
@@ -192,11 +158,9 @@ def bisect_micro(
     [0, 1] so the initial bracket [0, 1] is valid.
     """
     _check_bisect_inputs(labels, probs_hat, flm)
-    n, m_out = labels.values.shape
-    weights = np.full(m_out, 1.0 / m_out)
-    iterations = cfg.effective_iterations(n)
+    m_out = labels.n_outputs
     loss, utility, records = _bisect_single(
-        labels.values, probs_hat.values, flm, iterations, cfg.eval_mode, weights
+        labels, probs_hat, flm, cfg, np.full(m_out, 1.0 / m_out)
     )
     classifier = WeightedClassifier(LossTensor.shared(loss, m_out))
     return classifier, BisectionTrace(records, loss, utility, classifier)
@@ -210,19 +174,12 @@ def bisect_macro(
 ) -> tuple[WeightedClassifier, list[BisectionTrace]]:
     """Independent single-output searches; the loss slices may differ per output."""
     _check_bisect_inputs(labels, probs_hat, flm)
-    n, m_out = labels.values.shape
-    iterations = cfg.effective_iterations(n)
     slices = []
     traces = []
-    for m in range(m_out):
-        loss, utility, records = _bisect_single(
-            labels.values[:, m : m + 1],
-            probs_hat.values[:, m : m + 1, :],
-            flm,
-            iterations,
-            cfg.eval_mode,
-            np.ones(1),
-        )
+    for m in range(labels.n_outputs):
+        labels_m = LabelMatrix(labels.values[:, m : m + 1], labels.n_classes)
+        probs_m = ProbabilityField(probs_hat.values[:, m : m + 1, :])
+        loss, utility, records = _bisect_single(labels_m, probs_m, flm, cfg, np.ones(1))
         slices.append(loss)
         traces.append(
             BisectionTrace(records, loss, utility, WeightedClassifier(LossTensor.shared(loss, 1)))

@@ -178,9 +178,7 @@ def cmd_postprocess(args) -> int:
     elif args.features:
         features = read_features(args.features)
         fit_idx, eval_idx = _split_indices(labels.n_samples, seed)
-        model = fit_lr(
-            features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes), seed=seed
-        )
+        model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes))
         probs_full = predict_proba(model, features)
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
         probs_eval = ProbabilityField(probs_full.values[eval_idx])
@@ -202,7 +200,7 @@ def cmd_postprocess(args) -> int:
         classifier = WeightedClassifier(loss)
         trace_doc = None
     else:
-        cfg = BisectionConfig(iterations=args.iters, seed=seed, averaging=args.averaging)
+        cfg = BisectionConfig(iterations=args.iters)
         if args.averaging == "micro":
             classifier, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
             trace_doc = trace.to_dict()
@@ -296,7 +294,13 @@ def cmd_oracle(args) -> int:
     utility, preds = brute_force_oracle(labels, probs, spec, AveragingSpec(args.averaging))
     seed = _resolve_seed(args.seed)
     report = RunReport(
-        command=["oracle", args.labels],
+        command=[
+            "oracle",
+            "--labels", args.labels,
+            *(["--probs", args.probs] if args.probs else []),
+            "--metric", args.metric,
+            "--averaging", args.averaging,
+        ],
         config_hash=_config_hash(
             {"metric": _load_metric_config(args.metric), "averaging": args.averaging, "seed": seed}
         ),
@@ -320,11 +324,17 @@ def cmd_train_lr(args) -> int:
     features = read_features(args.features)
     labels = read_labels(args.labels)
     seed = _resolve_seed(args.seed)
-    model = fit_lr(features, labels, seed=seed, iterations=args.iters)
+    model = fit_lr(features, labels, iterations=args.iters)
     probs = predict_proba(model, features)
     write_probs(args.out, probs)
     report = RunReport(
-        command=["train-lr", args.features, args.labels],
+        command=[
+            "train-lr",
+            "--features", args.features,
+            "--labels", args.labels,
+            "--iters", str(args.iters),
+            "--out", args.out,
+        ],
         config_hash=_config_hash({"iters": args.iters, "seed": seed}),
         seed=seed,
         utilities={},
@@ -373,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--classes", type=int, default=10)
     p_synth.add_argument("--workers", type=int, default=1)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive optimum over deterministic predictions")

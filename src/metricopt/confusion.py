@@ -186,16 +186,37 @@ def _check_paired(labels: LabelMatrix, preds: PredictionMatrix) -> None:
         )
 
 
+def _joint_counts(
+    pred: np.ndarray,
+    n_classes: int,
+    true: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Joint (true, predicted) counts per column of ``pred``, shape (M, K, K).
+
+    ``pred`` holds 0-based (N, M) classes.  Each entry adds one unit at its
+    0-based ``true`` class, or its weight row ``rows[n, m]`` (length K) across
+    the true classes.  A single ``np.bincount`` adds the entries in sample
+    order, so weighted sums equal those of a sequential loop.
+    """
+    k = n_classes
+    m_out = pred.shape[1]
+    cell = np.arange(m_out) * (k * k) + pred  # flat index of (output, true class 0, pred)
+    if rows is None:
+        counts = np.bincount((cell + k * true).ravel(), minlength=m_out * k * k)
+    else:
+        cells = cell[:, :, None] + k * np.arange(k)
+        counts = np.bincount(cells.ravel(), weights=rows.ravel(), minlength=m_out * k * k)
+    return counts.reshape(m_out, k, k)
+
+
 def sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> ConfusionTensor:
     """Average the one-hot per-sample confusions: entry (m, i, j) is the
     fraction of samples with true class i and predicted class j in output m.
     """
     _check_paired(labels, preds)
-    n, m_out, k = labels.n_samples, labels.n_outputs, labels.n_classes
-    conf = np.zeros((m_out, k, k))
-    for m in range(m_out):
-        np.add.at(conf[m], (labels.values[:, m] - 1, preds.values[:, m] - 1), 1.0 / n)
-    return ConfusionTensor(conf)
+    counts = _joint_counts(preds.values - 1, labels.n_classes, true=labels.values - 1)
+    return ConfusionTensor(counts / labels.n_samples)
 
 
 def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.ndarray:
@@ -222,14 +243,15 @@ def masked_confusion(
     K x K array with total mass 1.
     """
     _check_paired(labels, preds)
-    n, m_out, k = labels.n_samples, labels.n_outputs, labels.n_classes
-    for pair in mask.entries:
-        if pair[0] >= n or pair[1] >= m_out:
-            raise ValueError(f"mask entry {pair} out of bounds for {n} samples x {m_out} outputs")
-    out = np.zeros((k, k))
-    for sample, output in mask.entries:
-        out[labels.values[sample, output] - 1, preds.values[sample, output] - 1] += 1.0
-    return out / len(mask.entries)
+    n, m_out = labels.values.shape
+    samples, outputs = np.array(sorted(mask.entries)).T
+    outside = (samples >= n) | (outputs >= m_out)
+    if outside.any():
+        pair = (int(samples[outside][0]), int(outputs[outside][0]))
+        raise ValueError(f"mask entry {pair} out of bounds for {n} samples x {m_out} outputs")
+    true = labels.values[samples, outputs, None] - 1
+    counts = _joint_counts(preds.values[samples, outputs, None] - 1, labels.n_classes, true=true)
+    return counts[0] / samples.size
 
 
 def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:
@@ -248,11 +270,5 @@ def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> Conf
         raise ValueError(
             f"probability field uses K={probs.n_classes} but predictions use K={preds.n_classes}"
         )
-    n, m_out, k = probs.values.shape
-    conf = np.zeros((m_out, k, k))
-    for m in range(m_out):
-        # Accumulate transposed (predicted, true) so duplicate columns add up.
-        acc = np.zeros((k, k))
-        np.add.at(acc, preds.values[:, m] - 1, probs.values[:, m, :])
-        conf[m] = acc.T / n
-    return ConfusionTensor(conf)
+    counts = _joint_counts(preds.values - 1, probs.n_classes, rows=probs.values)
+    return ConfusionTensor(counts / probs.n_samples)

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import ConfusionTensor, PredictionMatrix, ProbabilityField
+from .confusion import ConfusionTensor, PredictionMatrix, ProbabilityField, _readonly
 from .metrics import LossMatrix
-
-
-def _readonly(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,9 @@ def weighted_predict(clf: WeightedClassifier, probs: ProbabilityField) -> Predic
             f"loss tensor (M={loss.n_outputs}, K={loss.n_classes}) does not match "
             f"probability field (M={probs.n_outputs}, K={probs.n_classes})"
         )
-    scores = np.einsum("mlk,nml->nmk", loss.values, probs.values)
+    scores = np.matmul(probs.values.transpose(1, 0, 2), loss.values)  # (M, N, K)
     # argmin returns the first minimizer, which is the lowest class index.
-    preds = np.argmin(scores, axis=2) + 1
+    preds = np.argmin(scores, axis=2).T + 1
     return PredictionMatrix(preds, n_classes=probs.n_classes)
 
 

@@ -52,35 +52,28 @@ class MultinomialLRModel:
         return self.weights.shape[1]
 
 
-def _ce_loss_and_grad(
+def _ce_grad(
     weights: np.ndarray, features: np.ndarray, onehot: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """L2-regularized mean cross-entropy and its gradient for one output.
+) -> np.ndarray:
+    """Gradient of the L2-regularized mean cross-entropy for one output.
 
     ``weights`` is (K, D), logits are -X @ W^T.
     """
-    n = features.shape[0]
     probs = _softmax_rows(-features @ weights.T)
-    # log of the predicted probability at the true class, clipped for safety
-    log_probs = np.log(np.clip(probs, 1e-300, None))
-    loss = -float(np.sum(onehot * log_probs)) / n + 0.5 * l2 * float(np.sum(weights**2))
-    grad = -(probs - onehot).T @ features / n + l2 * weights
-    return loss, grad
+    return -(probs - onehot).T @ features / features.shape[0] + l2 * weights
 
 
 def fit_lr(
     features: np.ndarray,
     labels: LabelMatrix,
     l2: float = 1e-4,
-    seed: int = 0,
     step: float = 0.1,
     iterations: int = 500,
 ) -> MultinomialLRModel:
     """Fit one model per output by full-batch gradient descent.
 
-    The descent is deterministic from a zero initialization, so ``seed`` is
-    accepted only for interface parity.  No intercept column is added; append
-    a constant feature when one is wanted.
+    The descent is deterministic from a zero initialization.  No intercept
+    column is added; append a constant feature when one is wanted.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -107,8 +100,7 @@ def fit_lr(
         onehot[np.arange(n), labels.values[:, m] - 1] = 1.0
         w = weights[m]
         for _ in range(iterations):
-            _, grad = _ce_loss_and_grad(w, features, onehot, l2)
-            w -= step * grad
+            w -= step * _ce_grad(w, features, onehot, l2)
     return MultinomialLRModel(weights, l2, trained=True, constant_classes=tuple(constant))
 
 

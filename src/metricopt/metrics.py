@@ -18,7 +18,8 @@ loss_based          1 - <L, C>                                        linear
 Class g is the designated negative class of micro-F1 (default 1).  The
 linear and fractional kinds admit an exact (A, B) representation with
 value <A, C>/<B, C>; linear kinds take B = all-ones because confusions
-carry unit mass.
+carry unit mass.  Their values and gradients are computed from that form
+alone, so the micro_f1 and loss_based expressions above hold on unit mass.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .confusion import _readonly
 from .errors import GuardError
 
 # Validation slack on the total mass of a confusion passed to eval_metric.
@@ -46,12 +48,6 @@ _KINDS = (
 )
 _FRACTIONAL_KINDS = ("ordinal", "micro_f1", "weighted_exp", "fractional_linear", "loss_based")
 _DIFFERENTIABLE_KINDS = tuple(k for k in _KINDS if k != "min_max")
-
-
-def _readonly(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -206,27 +202,15 @@ def _eval_batch(spec: MetricSpec, confs: np.ndarray) -> np.ndarray:
     of raising so batch callers (the brute-force oracle) can skip them.
     """
     confs = np.asarray(confs, dtype=float)
-    k = spec.n_classes
     kind = spec.kind
-    if kind == "ordinal":
-        return np.einsum("...ij,ij->...", confs, _ordinal_weights(k))
-    if kind == "weighted_exp":
-        diag = np.einsum("...ii->...i", confs)
-        return diag @ _exp_class_weights(k, spec.gamma)
-    if kind == "loss_based":
-        return 1.0 - np.einsum("...ij,ij->...", confs, spec.loss)
-    if kind == "micro_f1":
-        g = spec.negative_class - 1
-        diag = np.einsum("...ii->...i", confs)
-        num = 2.0 * (diag.sum(axis=-1) - diag[..., g])
-        den = 2.0 - confs[..., g, :].sum(axis=-1) - confs[..., :, g].sum(axis=-1)
+    if kind in _FRACTIONAL_KINDS:
+        flm = as_fractional_linear(spec)
+        num = np.einsum("...ij,ij->...", confs, flm.numerator_A)
+        if flm.is_linear:
+            return num
+        den = np.einsum("...ij,ij->...", confs, flm.denominator_B)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den >= DENOMINATOR_FLOOR, num / den, np.nan)
-    if kind == "fractional_linear":
-        num = np.einsum("...ij,ij->...", confs, spec.numerator)
-        den = np.einsum("...ij,ij->...", confs, spec.denominator)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den >= DENOMINATOR_FLOOR, num / den, np.nan)
+            return np.where(den >= flm.denominator_floor_b, num / den, np.nan)
     if kind == "macro_f1":
         diag = np.einsum("...ii->...i", confs)
         den = confs.sum(axis=-1) + confs.sum(axis=-2)
@@ -286,39 +270,18 @@ def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
     if spec.kind not in _DIFFERENTIABLE_KINDS:
         raise ValueError(f"gradient unavailable for {spec.kind}")
     conf = _validate_confusion(spec, conf, check_mass=False)
-    k = spec.n_classes
-    if spec.kind == "ordinal":
-        return _ordinal_weights(k)
-    if spec.kind == "weighted_exp":
-        return np.diag(_exp_class_weights(k, spec.gamma))
-    if spec.kind == "loss_based":
-        return -np.array(spec.loss)
-    if spec.kind == "polynomial":
-        diag = np.diagonal(conf)
-        return np.diag(-spec.gamma * (1.0 - diag) ** (spec.gamma - 1.0))
-    if spec.kind == "micro_f1":
-        # Differentiate the direct form 2*sum_{i!=g} C_ii / (2 - row_g - col_g):
-        # its constant 2 does not vary with the mass, so this differs from the
-        # <A,C>/<B,C> gradient by a constant shift (decision-irrelevant).
-        g = spec.negative_class - 1
-        diag = np.diagonal(conf)
-        num = 2.0 * (diag.sum() - diag[g])
-        den = 2.0 - conf[g, :].sum() - conf[:, g].sum()
-        if den < DENOMINATOR_FLOOR:
-            raise GuardError(f"degenerate denominator: {den:.3e}")
-        grad = np.zeros((k, k))
-        np.fill_diagonal(grad, 2.0 / den)
-        grad[g, g] = 0.0
-        grad[g, :] += num / den**2
-        grad[:, g] += num / den**2
-        return grad
-    if spec.kind == "fractional_linear":
+    if spec.kind in _FRACTIONAL_KINDS:
         flm = as_fractional_linear(spec)
+        if flm.is_linear:
+            return np.array(flm.numerator_A)
         den = float(np.sum(flm.denominator_B * conf))
         if den < flm.denominator_floor_b:
             raise GuardError(f"degenerate denominator: <B, C> = {den:.3e}")
         num = float(np.sum(flm.numerator_A * conf))
         return flm.numerator_A / den - (num / den**2) * flm.denominator_B
+    if spec.kind == "polynomial":
+        diag = np.diagonal(conf)
+        return np.diag(-spec.gamma * (1.0 - diag) ** (spec.gamma - 1.0))
     if spec.kind == "macro_f1":
         diag = np.diagonal(conf)
         den = conf.sum(axis=1) + conf.sum(axis=0)
@@ -327,7 +290,7 @@ def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
         grad = np.diag(2.0 / den)
         grad -= (2.0 * diag / den**2)[:, None]  # d(den_i)/dC_il = 1 for every l
         grad -= (2.0 * diag / den**2)[None, :]  # d(den_j)/dC_kj = 1 for every k
-        return grad / k
+        return grad / spec.n_classes
     raise AssertionError(f"unhandled kind {spec.kind}")
 
 

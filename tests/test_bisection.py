@@ -61,11 +61,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="iterations"):
             BisectionConfig(iterations=0)
 
-    def test_schedule_flag(self):
-        cfg = BisectionConfig(iterations=10, use_iteration_schedule=True, kappa=2)
-        assert cfg.effective_iterations(7) == 14
-        assert BisectionConfig(iterations=10).effective_iterations(7) == 10
-
 
 class TestBisectMicro:
     def test_constant_metric_converges_to_its_value(self, rng):

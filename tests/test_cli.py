@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from metricopt.cli import RunReport, main
+from metricopt.cli import RunReport, build_parser, main
 from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField
 from metricopt.fileio import (
     read_features,
@@ -397,6 +397,57 @@ class TestTrainLR:
         assert code == 0
         probs = read_probs(out)
         assert probs.values.shape == (40, 2, 3)
+
+
+def _recorded(argv):
+    """Parsed arguments, less the output paths and the seed: the report keeps
+    its seed in a field of its own."""
+    args = vars(build_parser().parse_args(argv))
+    for key in ("out", "preds", "seed"):
+        args.pop(key, None)
+    return args
+
+
+class TestReportCommand:
+    def test_command_parses_back_to_the_invocation(self, tmp_path, rng, capsys):
+        n, m_out, k = 6, 2, 3
+        labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+        probs = ProbabilityField(random_prob_rows(rng, n, m_out, k))
+        write_predictions(tmp_path / "labels.csv", labels)
+        preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
+        write_predictions(tmp_path / "preds.csv", preds)
+        write_probs(tmp_path / "probs.csv", probs)
+        write_features(tmp_path / "features.csv", rng.standard_normal((n, 2)))
+        # the oracle enumerates K^(N*M) assignments, so it gets two rows
+        write_predictions(tmp_path / "few_labels.csv", LabelMatrix(labels.values[:2], k))
+        write_probs(tmp_path / "few_probs.csv", ProbabilityField(probs.values[:2]))
+        path = {name: str(tmp_path / f"{name}.csv") for name in
+                ("labels", "preds", "probs", "features", "few_labels", "few_probs")}
+        report = tmp_path / "report.json"
+        invocations = [
+            ["eval", "--labels", path["labels"], "--preds", path["preds"],
+             "--metric", "ordinal", "--averaging", "macro", "--seed", "4"],
+            ["postprocess", "--labels", path["labels"], "--probs", path["probs"],
+             "--metric", "micro_f1", "--averaging", "macro", "--iters", "5",
+             "--preds", str(tmp_path / "tuned.csv")],
+            ["postprocess", "--labels", path["labels"], "--features", path["features"],
+             "--metric", "micro_f1", "--iters", "5", "--seed", "3"],
+            ["oracle", "--labels", path["few_labels"], "--metric", "micro_f1",
+             "--averaging", "instance"],
+            ["oracle", "--labels", path["few_labels"], "--probs", path["few_probs"],
+             "--metric", "ordinal"],
+        ]
+        for argv in invocations:
+            assert main(argv + ["--out", str(report)]) == 0
+            command = json.loads(report.read_text())["command"]
+            assert _recorded(command) == _recorded(argv)
+
+        argv = ["train-lr", "--features", path["features"], "--labels", path["labels"],
+                "--iters", "5", "--out", str(tmp_path / "lr_probs.csv")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        command = json.loads(capsys.readouterr().out)["command"]
+        assert _recorded(command) == _recorded(argv)
 
 
 class TestSeedHandling:

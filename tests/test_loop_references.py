@@ -1,0 +1,74 @@
+"""Per-cell Python loops as references for the confusion builders and the
+weighted decision rule."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from metricopt.confusion import (
+    LabelMatrix,
+    ObservationMask,
+    PredictionMatrix,
+    ProbabilityField,
+    expected_confusion,
+    masked_confusion,
+    sample_confusion,
+)
+from metricopt.decision import LossTensor, WeightedClassifier, weighted_predict
+
+# A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m_out=1, k=2, seed=0)
+def test_builders_match_per_cell_loops(n, m_out, k, seed):
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    preds = PredictionMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
+
+    counts = np.zeros((m_out, k, k), dtype=np.int64)
+    for s in range(n):
+        for m in range(m_out):
+            counts[m, labels.values[s, m] - 1, preds.values[s, m] - 1] += 1
+    np.testing.assert_array_equal(sample_confusion(labels, preds).values, counts / n)
+
+    observed = rng.random((n, m_out)) < 0.5
+    observed[rng.integers(n), rng.integers(m_out)] = True
+    entries = [(s, m) for s in range(n) for m in range(m_out) if observed[s, m]]
+    masked = np.zeros((k, k), dtype=np.int64)
+    for s, m in entries:
+        masked[labels.values[s, m] - 1, preds.values[s, m] - 1] += 1
+    np.testing.assert_array_equal(
+        masked_confusion(labels, preds, ObservationMask(frozenset(entries))),
+        masked / len(entries),
+    )
+
+    expected = np.zeros((m_out, k, k))
+    for m in range(m_out):
+        for i in range(k):
+            for j in range(k):
+                mass = sum(probs.values[s, m, i] for s in range(n) if preds.values[s, m] == j + 1)
+                expected[m, i, j] = mass / n
+    np.testing.assert_allclose(
+        expected_confusion(probs, preds).values, expected, rtol=0, atol=n * EPS
+    )
+
+    # Eighths times quarters: every score is exact in any summation order,
+    # so equal scores are exact ties and must go to the lowest class.
+    eighths = rng.multinomial(8, np.full(k, 1.0 / k), size=(n, m_out)) / 8
+    loss = LossTensor(rng.integers(0, 5, size=(m_out, k, k)) / 4)
+    got = weighted_predict(WeightedClassifier(loss), ProbabilityField(eighths)).values
+    for s in range(n):
+        for m in range(m_out):
+            scores = [
+                sum(loss.values[m, l, c] * eighths[s, m, l] for l in range(k)) for c in range(k)
+            ]
+            assert got[s, m] == scores.index(min(scores)) + 1
