@@ -22,6 +22,7 @@ import numpy as np
 from .averaging import AveragingSpec, instance_utility, macro_utility, micro_utility
 from .bisection import BisectionConfig, bisect_macro, bisect_micro, brute_force_oracle
 from .confusion import (
+    ConfusionTensor,
     LabelMatrix,
     PredictionMatrix,
     ProbabilityField,
@@ -94,10 +95,10 @@ def _utilities_for(
     spec: MetricSpec,
     labels: LabelMatrix,
     preds: PredictionMatrix,
+    conf: ConfusionTensor,
     requested: str,
 ) -> dict:
     """Requested-mode utility, plus the other modes where they are defined."""
-    conf = sample_confusion(labels, preds)
     per_sample = per_sample_confusion(labels, preds)
     utilities: dict = {}
     evaluators = {
@@ -132,9 +133,10 @@ def cmd_eval(args) -> int:
     n_classes = max(labels.n_classes, preds_raw.n_classes)
     labels = LabelMatrix(labels.values, n_classes)
     preds = PredictionMatrix(preds_raw.values, n_classes)
-    spec = metric_from_config(_load_metric_config(args.metric), n_classes)
-    utilities = _utilities_for(spec, labels, preds, args.averaging)
+    config = _load_metric_config(args.metric)
+    spec = metric_from_config(config, n_classes)
     conf = sample_confusion(labels, preds)
+    utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
     seed = _resolve_seed(args.seed)
     report = RunReport(
         command=[
@@ -144,9 +146,7 @@ def cmd_eval(args) -> int:
             "--metric", args.metric,
             "--averaging", args.averaging,
         ],
-        config_hash=_config_hash(
-            {"metric": _load_metric_config(args.metric), "averaging": args.averaging, "seed": seed}
-        ),
+        config_hash=_config_hash({"metric": config, "averaging": args.averaging, "seed": seed}),
         seed=seed,
         utilities=utilities,
         confusion=conf.values.tolist(),
@@ -211,7 +211,8 @@ def cmd_postprocess(args) -> int:
     preds = weighted_predict(classifier, probs_full)
     if args.preds:
         write_predictions(args.preds, preds)
-    utilities = _utilities_for(spec, labels, preds, args.averaging)
+    conf = sample_confusion(labels, preds)
+    utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
     report = RunReport(
         command=[
             "postprocess",
@@ -232,7 +233,7 @@ def cmd_postprocess(args) -> int:
         ),
         seed=seed,
         utilities=utilities,
-        confusion=sample_confusion(labels, preds).values.tolist(),
+        confusion=conf.values.tolist(),
         loss=classifier.loss.to_dict(),
         trace=trace_doc,
         wall_clock_s=time.perf_counter() - started,
@@ -290,7 +291,8 @@ def cmd_oracle(args) -> int:
                 f"probability file K={probs.n_classes} below labels K={labels.n_classes}"
             )
         labels = LabelMatrix(labels.values, probs.n_classes)
-    spec = metric_from_config(_load_metric_config(args.metric), labels.n_classes)
+    config = _load_metric_config(args.metric)
+    spec = metric_from_config(config, labels.n_classes)
     utility, preds = brute_force_oracle(labels, probs, spec, AveragingSpec(args.averaging))
     seed = _resolve_seed(args.seed)
     report = RunReport(
@@ -301,9 +303,7 @@ def cmd_oracle(args) -> int:
             "--metric", args.metric,
             "--averaging", args.averaging,
         ],
-        config_hash=_config_hash(
-            {"metric": _load_metric_config(args.metric), "averaging": args.averaging, "seed": seed}
-        ),
+        config_hash=_config_hash({"metric": config, "averaging": args.averaging, "seed": seed}),
         seed=seed,
         utilities={args.averaging: utility},
         predictions=preds.values.tolist(),

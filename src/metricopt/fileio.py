@@ -3,102 +3,109 @@
 Label files carry a ``y1..yM`` header and integer classes 1..K.  Probability
 files start with a ``# M=...,K=...`` metadata line followed by ``p_m_k``
 columns in output-major order.  Feature files carry an ``x1..xD`` header.
+Cells are plain, unquoted decimal numbers and empty lines are skipped.
 Floats are written with shortest round-trip repr so files reproduce exactly.
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .confusion import LabelMatrix, PredictionMatrix, ProbabilityField
 
+# rows formatted per write, so a large prediction file never builds all its strings at once
+_WRITE_ROWS = 1 << 10
 
-def _open_rows(path: str | Path) -> list[list[str]]:
-    path = Path(path)
-    if not path.exists():
+
+def _open(path: str | Path):
+    if not Path(path).exists():
         raise ValueError(f"missing file: {path}")
-    with open(path, newline="") as handle:
-        return [row for row in csv.reader(handle)]
+    return open(path)
 
 
-def _parse_int(cell: str, path, line: int) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"{path}:{line}: expected an integer class, got {cell!r}") from None
+def _cells(line: str) -> list[str]:
+    return line.rstrip("\n").split(",")
 
 
-def _parse_float(cell: str, path, line: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"{path}:{line}: expected a number, got {cell!r}") from None
+def _read_table(handle, path, n_columns: int, dtype, first_line: int) -> np.ndarray:
+    """Parse the data lines from ``first_line`` on with one ``np.loadtxt`` call.
+
+    numpy opens ``path`` itself and parses it in chunks.  Only when it refuses the
+    table is ``handle`` scanned, with the same grammar, to name the first bad line.
+    """
+    with warnings.catch_warnings():
+        # an empty table is reported below; numpy < 2 parses "1.5" as an int with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.loadtxt(
+                path, dtype, delimiter=",", comments=None, skiprows=first_line - 1, ndmin=2
+            )
+        except (ValueError, DeprecationWarning) as exc:
+            values, error = None, exc
+    if values is None or values.shape[1] != n_columns:
+        parse, what = (int, "an integer class") if dtype is np.int64 else (float, "a number")
+        for line_no, line in enumerate(handle, start=first_line):
+            cells = _cells(line)
+            if cells == [""]:
+                continue
+            if len(cells) != n_columns:
+                raise ValueError(f"{path}:{line_no}: expected {n_columns} columns, got {len(cells)}")
+            for cell in cells:
+                try:
+                    # numpy takes ASCII digits only and no "_" separators, unlike int()/float()
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError
+                    parse(cell)
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: expected {what}, got {cell!r}") from None
+        if values is None:
+            raise ValueError(f"{path}: {error}")
+    if len(values) == 0:
+        raise ValueError(f"{path}: no data rows")
+    return values
 
 
 def read_labels(path: str | Path, n_classes: int | None = None) -> LabelMatrix:
     """Read a label (or prediction) matrix; K defaults to the largest class seen."""
-    rows = _open_rows(path)
-    if not rows:
-        raise ValueError(f"{path}:1: empty file")
-    header = rows[0]
-    n_outputs = len(header)
-    if n_outputs == 0 or not all(col.strip() for col in header):
-        raise ValueError(f"{path}:1: malformed header {header!r}")
-    values = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != n_outputs:
-            raise ValueError(
-                f"{path}:{line_no}: expected {n_outputs} columns, got {len(row)}"
-            )
-        values.append([_parse_int(cell, path, line_no) for cell in row])
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    array = np.asarray(values, dtype=np.int64)
+    with _open(path) as handle:
+        header = handle.readline()
+        if not header:
+            raise ValueError(f"{path}:1: empty file")
+        names = _cells(header)
+        if not all(name.strip() for name in names):
+            raise ValueError(f"{path}:1: malformed header {names!r}")
+        array = _read_table(handle, path, len(names), np.int64, first_line=2)
     return LabelMatrix(array, n_classes=int(array.max()) if n_classes is None else n_classes)
 
 
 def write_predictions(path: str | Path, preds: PredictionMatrix | LabelMatrix) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(f"y{m + 1}" for m in range(preds.n_outputs)) + "\n")
-        for row in preds.values:
-            handle.write(",".join(str(int(v)) for v in row) + "\n")
+        for start in range(0, preds.n_samples, _WRITE_ROWS):
+            block = preds.values[start : start + _WRITE_ROWS].astype(str).tolist()
+            handle.write("\n".join(map(",".join, block)) + "\n")
 
 
 def read_probs(path: str | Path) -> ProbabilityField:
     """Read a probability field; the metadata line fixes M and K."""
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"missing file: {path}")
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f'{path}:1: expected metadata line "# M=...,K=..."')
-    meta = {}
-    for part in lines[0].lstrip("#").split(","):
-        key, _, value = part.strip().partition("=")
-        meta[key] = value
-    try:
-        m_out, k = int(meta["M"]), int(meta["K"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}:1: malformed metadata {lines[0]!r}") from None
-    expected_header = [f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)]
-    if len(lines) < 2 or [c.strip() for c in lines[1].split(",")] != expected_header:
-        raise ValueError(f"{path}:2: header must be {','.join(expected_header)}")
-    values = []
-    for line_no, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != m_out * k:
-            raise ValueError(f"{path}:{line_no}: expected {m_out * k} columns, got {len(cells)}")
-        values.append([_parse_float(cell, path, line_no) for cell in cells])
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    array = np.asarray(values, dtype=float).reshape(len(values), m_out, k)
-    return ProbabilityField(array)
+    with _open(path) as handle:
+        meta_line = handle.readline().rstrip("\n")
+        if not meta_line.startswith("#"):
+            raise ValueError(f'{path}:1: expected metadata line "# M=...,K=..."')
+        meta = dict(part.strip().partition("=")[::2] for part in meta_line.lstrip("#").split(","))
+        try:
+            m_out, k = int(meta["M"]), int(meta["K"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:1: malformed metadata {meta_line!r}") from None
+        expected_header = [f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)]
+        if [c.strip() for c in _cells(handle.readline())] != expected_header:
+            raise ValueError(f"{path}:2: header must be {','.join(expected_header)}")
+        array = _read_table(handle, path, m_out * k, float, first_line=3)
+    return ProbabilityField(array.reshape(len(array), m_out, k))
 
 
 def write_probs(path: str | Path, probs: ProbabilityField) -> None:
@@ -112,18 +119,11 @@ def write_probs(path: str | Path, probs: ProbabilityField) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    rows = _open_rows(path)
-    if not rows:
-        raise ValueError(f"{path}:1: empty file")
-    n_features = len(rows[0])
-    values = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != n_features:
-            raise ValueError(f"{path}:{line_no}: expected {n_features} columns, got {len(row)}")
-        values.append([_parse_float(cell, path, line_no) for cell in row])
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(values, dtype=float)
+    with _open(path) as handle:
+        header = handle.readline()
+        if not header:
+            raise ValueError(f"{path}:1: empty file")
+        return _read_table(handle, path, len(_cells(header)), float, first_line=2)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:

@@ -488,3 +488,43 @@ class TestSeedHandling:
         report = RunReport.from_json(out.read_text())
         again = RunReport.from_json(report.to_json())
         assert again == report
+
+
+class TestWorkDoneOnce:
+    """Each command builds the sample confusion, and parses its metric, once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import metricopt.cli as cli
+
+        calls = {"sample_confusion": 0, "_load_metric_config": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        return calls
+
+    def test_eval(self, perfect_fixture, tmp_path, counts):
+        labels_path, preds_path = perfect_fixture
+        argv = ["eval", "--labels", str(labels_path), "--preds", str(preds_path),
+                "--metric", "micro_f1", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert counts == {"sample_confusion": 1, "_load_metric_config": 1}
+
+    @pytest.mark.parametrize("averaging", ["micro", "macro"])
+    def test_postprocess(self, tmp_path, rng, counts, averaging):
+        TestPostprocess()._write_problem(tmp_path, rng)
+        argv = ["postprocess", "--labels", str(tmp_path / "labels.csv"),
+                "--probs", str(tmp_path / "probs.csv"), "--metric", "micro_f1",
+                "--averaging", averaging, "--iters", "5", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        # the search builds its own confusions through the bisection module
+        assert counts == {"sample_confusion": 1, "_load_metric_config": 1}
