@@ -3,7 +3,10 @@
 Micro averages the confusion slices first and applies the metric once; macro
 applies the metric per output and averages the scores; instance applies the
 metric to each sample's output-averaged confusion and averages over samples.
-All three coincide exactly for linear metrics.
+The output weights of instance averaging are applied where those per-sample
+confusions are built (``confusion.per_sample_confusion``), so
+``instance_utility`` takes them as an (N, K, K) array.  All three coincide
+exactly for linear metrics.
 """
 
 from __future__ import annotations
@@ -46,15 +49,6 @@ class AveragingSpec:
             )
         return self.output_weights
 
-    @classmethod
-    def from_config(cls, config: dict) -> "AveragingSpec":
-        """Build from the document form {"averaging": mode, "weights": [...]};
-        the weights entry is optional."""
-        if "averaging" not in config:
-            raise ValueError('averaging config must have an "averaging" field')
-        weights = config.get("weights")
-        return cls(config["averaging"], None if weights is None else np.asarray(weights, float))
-
 
 def micro_confusion(conf: ConfusionTensor, weights: np.ndarray) -> np.ndarray:
     """Weighted sum of the output slices, a plain K x K array."""
@@ -83,25 +77,18 @@ def macro_utility(spec: MetricSpec, conf: ConfusionTensor, avg: AveragingSpec) -
     return total
 
 
-def instance_utility(spec: MetricSpec, per_sample_confs: np.ndarray, avg: AveragingSpec) -> float:
-    """Average of the metric over per-instance confusions.
+def instance_utility(spec: MetricSpec, per_sample_confs: np.ndarray) -> float:
+    """Average of the metric over per-sample confusions.
 
-    ``per_sample_confs`` has shape (N, M, K, K) with each (sample, output)
-    slice carrying mass 1, as produced by ``per_sample_confusion``.
+    ``per_sample_confs`` has shape (N, K, K): each sample's confusion already
+    sums its outputs with their weights, as ``per_sample_confusion`` builds it.
     """
-    if avg.mode != "instance":
-        raise ValueError(f"instance_utility called with mode {avg.mode!r}")
     confs = np.asarray(per_sample_confs, dtype=float)
-    if confs.ndim != 4 or confs.shape[2] != confs.shape[3]:
-        raise ValueError(f"per-sample confusions must have shape (N, M, K, K), got {confs.shape}")
+    if confs.ndim != 3 or confs.shape[1] != confs.shape[2]:
+        raise ValueError(f"per-sample confusions must have shape (N, K, K), got {confs.shape}")
     if not np.all(np.isfinite(confs)) or confs.min() < 0:
         raise ValueError("per-sample confusions must be finite and nonnegative")
-    masses = confs.sum(axis=(2, 3))
-    if np.abs(masses - 1.0).max() > 1e-6:
-        raise ValueError("each (sample, output) confusion must carry mass 1")
-    weights = avg.weights_for(confs.shape[1])
-    instance_confs = np.einsum("m,nmij->nij", weights, confs)
-    values = _eval_batch(spec, instance_confs)
+    values = _eval_batch(spec, confs)
     if np.any(np.isnan(values)):
         raise GuardError("degenerate denominator in an instance confusion")
     return float(values.mean())

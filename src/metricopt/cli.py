@@ -99,12 +99,12 @@ def _utilities_for(
     requested: str,
 ) -> dict:
     """Requested-mode utility, plus the other modes where they are defined."""
-    per_sample = per_sample_confusion(labels, preds)
+    weights = AveragingSpec("instance").weights_for(labels.n_outputs)
     utilities: dict = {}
     evaluators = {
         "micro": lambda: micro_utility(spec, conf, AveragingSpec("micro")),
         "macro": lambda: macro_utility(spec, conf, AveragingSpec("macro")),
-        "instance": lambda: instance_utility(spec, per_sample, AveragingSpec("instance")),
+        "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds, weights)),
     }
     utilities[requested] = evaluators[requested]()
     for mode, evaluate in evaluators.items():

@@ -18,28 +18,22 @@ SIMPLEX_ATOL = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-def _validate_class_matrix(values: np.ndarray, n_classes: int, what: str) -> None:
-    if values.ndim != 2:
-        raise ValueError(f"{what} must be 2-D (samples x outputs), got shape {values.shape}")
-    if values.size == 0:
-        raise ValueError(f"{what} must be non-empty")
-    if not np.issubdtype(values.dtype, np.integer):
-        raise ValueError(f"{what} must hold integer class indices")
-    lo, hi = int(values.min()), int(values.max())
-    if lo < 1 or hi > n_classes:
-        raise ValueError(
-            f"{what} classes must lie in [1, {n_classes}], found range [{lo}, {hi}]"
-        )
+    """``arr`` itself when neither it nor any array it views can be written,
+    otherwise a read-only copy, so no caller can change a container's values."""
+    base = arr
+    while base is not None:
+        if not isinstance(base, np.ndarray) or base.flags.writeable:
+            out = np.array(arr, copy=True)
+            out.flags.writeable = False
+            return out
+        base = base.base
+    return arr
 
 
 @dataclass(frozen=True)
 class LabelMatrix:
-    """True classes: one row per sample, one column per output, values in 1..K.
+    """Classes, true or predicted: one row per sample, one column per output,
+    values in 1..K.
 
     Outputs with fewer native classes than K are padded implicitly: classes
     above an output's own count simply never occur in that column.
@@ -50,7 +44,17 @@ class LabelMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        _validate_class_matrix(values, self.n_classes, "labels")
+        if values.ndim != 2:
+            raise ValueError(
+                f"class matrix must be 2-D (samples x outputs), got shape {values.shape}"
+            )
+        if values.size == 0:
+            raise ValueError("class matrix must be non-empty")
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError("class matrix must hold integer class indices")
+        lo, hi = int(values.min()), int(values.max())
+        if lo < 1 or hi > self.n_classes:
+            raise ValueError(f"classes must lie in [1, {self.n_classes}], found range [{lo}, {hi}]")
         object.__setattr__(self, "values", _readonly(values))
 
     @property
@@ -62,25 +66,8 @@ class LabelMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Predicted classes, same layout and 1..K convention as LabelMatrix."""
-
-    values: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        _validate_class_matrix(values, self.n_classes, "predictions")
-        object.__setattr__(self, "values", _readonly(values))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.values.shape[1]
+# Predictions have the layout, the 1..K convention and the checks of labels.
+PredictionMatrix = LabelMatrix
 
 
 @dataclass(frozen=True)
@@ -191,19 +178,23 @@ def _joint_counts(
     n_classes: int,
     true: np.ndarray | None = None,
     rows: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Joint (true, predicted) counts per column of ``pred``, shape (M, K, K).
 
-    ``pred`` holds 0-based (N, M) classes.  Each entry adds one unit at its
-    0-based ``true`` class, or its weight row ``rows[n, m]`` (length K) across
-    the true classes.  A single ``np.bincount`` adds the entries in sample
-    order, so weighted sums equal those of a sequential loop.
+    ``pred`` holds 0-based (N, M) classes.  Each entry adds one unit, or its
+    entry of ``weights`` (broadcast against ``pred``), at its 0-based ``true``
+    class, or its weight row ``rows[n, m]`` (length K) across the true classes.
+    A single ``np.bincount`` adds the entries in row order, so weighted sums
+    equal those of a sequential loop.
     """
     k = n_classes
     m_out = pred.shape[1]
     cell = np.arange(m_out) * (k * k) + pred  # flat index of (output, true class 0, pred)
     if rows is None:
-        counts = np.bincount((cell + k * true).ravel(), minlength=m_out * k * k)
+        if weights is not None:
+            weights = np.broadcast_to(weights, pred.shape).ravel()
+        counts = np.bincount((cell + k * true).ravel(), weights=weights, minlength=m_out * k * k)
     else:
         cells = cell[:, :, None] + k * np.arange(k)
         counts = np.bincount(cells.ravel(), weights=rows.ravel(), minlength=m_out * k * k)
@@ -219,19 +210,26 @@ def sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> ConfusionT
     return ConfusionTensor(counts / labels.n_samples)
 
 
-def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.ndarray:
-    """One-hot confusion per (sample, output), shape (N, M, K, K).
+def per_sample_confusion(
+    labels: LabelMatrix, preds: PredictionMatrix, weights: np.ndarray
+) -> np.ndarray:
+    """Output-weighted confusion per sample, shape (N, K, K).
 
-    Averaging over samples reproduces ``sample_confusion``; instance-level
-    utilities consume this tensor directly.
+    Sample n's matrix is ``sum_m weights[m] e_{y_nm} e_{p_nm}^T``: at most M
+    nonzero cells, summed in output order.  Averaging over samples reproduces
+    ``micro_confusion(sample_confusion(labels, preds), weights)``;
+    ``instance_utility`` consumes this array directly.
     """
     _check_paired(labels, preds)
-    n, m_out, k = labels.n_samples, labels.n_outputs, labels.n_classes
-    out = np.zeros((n, m_out, k, k))
-    rows = np.arange(n)[:, None]
-    cols = np.arange(m_out)[None, :]
-    out[rows, cols, labels.values - 1, preds.values - 1] = 1.0
-    return out
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (labels.n_outputs,):
+        raise ValueError(f"expected {labels.n_outputs} output weights, got shape {weights.shape}")
+    if weights.min() < 0:
+        raise ValueError("output weights must be nonnegative")
+    # each sample is one column of the kernel; its outputs are the rows
+    return _joint_counts(
+        preds.values.T - 1, labels.n_classes, true=labels.values.T - 1, weights=weights[:, None]
+    )
 
 
 def masked_confusion(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confusion import LabelMatrix, PredictionMatrix, ProbabilityField
+from .confusion import LabelMatrix, ProbabilityField
 
 # rows formatted per write, so a large prediction file never builds all its strings at once
 _WRITE_ROWS = 1 << 10
@@ -79,10 +79,11 @@ def read_labels(path: str | Path, n_classes: int | None = None) -> LabelMatrix:
         if not all(name.strip() for name in names):
             raise ValueError(f"{path}:1: malformed header {names!r}")
         array = _read_table(handle, path, len(names), np.int64, first_line=2)
+    array.flags.writeable = False  # the matrix then holds this array, not a copy
     return LabelMatrix(array, n_classes=int(array.max()) if n_classes is None else n_classes)
 
 
-def write_predictions(path: str | Path, preds: PredictionMatrix | LabelMatrix) -> None:
+def write_predictions(path: str | Path, preds: LabelMatrix) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(f"y{m + 1}" for m in range(preds.n_outputs)) + "\n")
         for start in range(0, preds.n_samples, _WRITE_ROWS):
@@ -105,6 +106,7 @@ def read_probs(path: str | Path) -> ProbabilityField:
         if [c.strip() for c in _cells(handle.readline())] != expected_header:
             raise ValueError(f"{path}:2: header must be {','.join(expected_header)}")
         array = _read_table(handle, path, m_out * k, float, first_line=3)
+    array.flags.writeable = False
     return ProbabilityField(array.reshape(len(array), m_out, k))
 
 

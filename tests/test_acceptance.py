@@ -247,10 +247,10 @@ def test_criterion_5_averaging_identities():
                 labels = LabelMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 preds = PredictionMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 conf = sample_confusion(labels, preds)
-                per = per_sample_confusion(labels, preds)
+                per = per_sample_confusion(labels, preds, np.full(m_out, 1.0 / m_out))
                 micro = micro_utility(spec, conf, AveragingSpec("micro"))
                 macro = macro_utility(spec, conf, AveragingSpec("macro"))
-                inst = instance_utility(spec, per, AveragingSpec("instance"))
+                inst = instance_utility(spec, per)
                 assert abs(micro - macro) <= 1e-12
                 assert abs(micro - inst) <= 1e-12
 

@@ -29,18 +29,10 @@ def random_tensor(rng, n_outputs, n_classes):
     )
 
 
-class TestAveragingConfig:
-    def test_document_form(self):
-        spec = AveragingSpec.from_config({"averaging": "macro", "weights": [0.2, 0.8]})
-        assert spec.mode == "macro"
-        np.testing.assert_array_equal(spec.weights_for(2), [0.2, 0.8])
-        assert AveragingSpec.from_config({"averaging": "micro"}).output_weights is None
-
-    def test_document_form_validated(self):
-        with pytest.raises(ValueError, match="averaging"):
-            AveragingSpec.from_config({"weights": [1.0]})
+class TestAveragingSpec:
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            AveragingSpec.from_config({"averaging": "median"})
+            AveragingSpec("median")
 
 
 class TestMicroConfusion:
@@ -111,21 +103,31 @@ class TestUtilities:
     def test_instance_single_sample(self, rng):
         labels = LabelMatrix(random_labels(rng, 1, 2, 3), 3)
         preds = PredictionMatrix(random_labels(rng, 1, 2, 3), 3)
-        per = per_sample_confusion(labels, preds)
+        per = per_sample_confusion(labels, preds, np.full(2, 0.5))
         spec = MetricSpec.ordinal(3)
-        inst = instance_utility(spec, per, AveragingSpec("instance"))
-        assert inst == pytest.approx(eval_metric(spec, per[0].mean(axis=0)), abs=1e-15)
+        inst = instance_utility(spec, per)
+        assert inst == pytest.approx(eval_metric(spec, per[0]), abs=1e-15)
 
     def test_instance_micro_f1_two_heterogeneous_samples(self):
         labels = LabelMatrix(np.array([[2, 2], [1, 2]]), 2)
         preds = PredictionMatrix(np.array([[2, 1], [1, 1]]), 2)
-        per = per_sample_confusion(labels, preds)
+        per = per_sample_confusion(labels, preds, np.full(2, 0.5))
         spec = MetricSpec.micro_f1(2)
-        by_hand = 0.5 * (
-            eval_metric(spec, per[0].mean(axis=0)) + eval_metric(spec, per[1].mean(axis=0))
-        )
-        got = instance_utility(spec, per, AveragingSpec("instance"))
+        by_hand = 0.5 * (eval_metric(spec, per[0]) + eval_metric(spec, per[1]))
+        got = instance_utility(spec, per)
         assert got == pytest.approx(by_hand, abs=1e-15)
+
+    def test_instance_input_validated(self):
+        spec = MetricSpec.ordinal(2)
+        good = np.full((3, 2, 2), 0.25)
+        assert instance_utility(spec, good) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(ValueError, match="shape"):
+            instance_utility(spec, good[:, None])
+        for bad_value in (-0.25, np.nan):
+            bad = good.copy()
+            bad[1, 0, 1] = bad_value
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                instance_utility(spec, bad)
 
 
 class TestLinearEquivalence:
@@ -137,10 +139,10 @@ class TestLinearEquivalence:
             labels = LabelMatrix(random_labels(rng, n, m, 3), 3)
             preds = PredictionMatrix(random_labels(rng, n, m, 3), 3)
             conf = sample_confusion(labels, preds)
-            per = per_sample_confusion(labels, preds)
+            per = per_sample_confusion(labels, preds, np.full(m, 1.0 / m))
             micro = micro_utility(spec, conf, AveragingSpec("micro"))
             macro = macro_utility(spec, conf, AveragingSpec("macro"))
-            inst = instance_utility(spec, per, AveragingSpec("instance"))
+            inst = instance_utility(spec, per)
             assert abs(micro - macro) <= 1e-12
             assert abs(micro - inst) <= 1e-12
 

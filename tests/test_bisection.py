@@ -249,9 +249,8 @@ class TestBruteForceOracle:
         from metricopt.averaging import instance_utility
         from metricopt.confusion import per_sample_confusion
 
-        achieved = instance_utility(
-            MetricSpec.micro_f1(2), per_sample_confusion(labels, preds), AveragingSpec("instance")
-        )
+        per = per_sample_confusion(labels, preds, AveragingSpec("instance").weights_for(2))
+        achieved = instance_utility(MetricSpec.micro_f1(2), per)
         assert achieved == pytest.approx(utility, abs=1e-12)
 
     def test_oversized_instance_guarded(self):

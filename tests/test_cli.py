@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from metricopt.cli import RunReport, build_parser, main
-from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField
+from metricopt.cli import RunReport, _utilities_for, build_parser, main
+from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField, sample_confusion
 from metricopt.fileio import (
     read_features,
     read_labels,
@@ -13,6 +14,8 @@ from metricopt.fileio import (
     write_predictions,
     write_probs,
 )
+
+from metricopt.metrics import MetricSpec
 
 from conftest import random_labels, random_prob_rows
 
@@ -100,6 +103,21 @@ class TestEval:
         assert report.utilities["micro"] == 0.0
         # the confusion tensor is embedded with the known values
         np.testing.assert_allclose(report.confusion, [[[0.5, 0.0], [0.5, 0.0]]])
+
+    def test_utilities_peak_below_half_the_dense_instance_tensor(self, rng):
+        n, m_out, k = 20000, 8, 5
+        labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+        preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
+        conf = sample_confusion(labels, preds)
+        tracemalloc.start()
+        try:
+            utilities = _utilities_for(MetricSpec.micro_f1(k), labels, preds, conf, "micro")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert utilities["instance"] is not None
+        dense = n * m_out * k * k * 8  # a one-hot (N, M, K, K) float tensor
+        assert peak < dense / 2, f"peak {peak / 1e6:.1f} MB, dense tensor {dense / 1e6:.0f} MB"
 
     def test_missing_file_exit_code_and_message(self, tmp_path, capsys):
         code = main(
@@ -528,3 +546,30 @@ class TestWorkDoneOnce:
         assert main(argv) == 0
         # the search builds its own confusions through the bisection module
         assert counts == {"sample_confusion": 1, "_load_metric_config": 1}
+
+    def test_eval_rewraps_the_files_without_copying(self, tmp_path, monkeypatch):
+        import metricopt.cli as cli
+
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(np.array([[1], [2]]), 2))
+        write_predictions(tmp_path / "preds.csv", LabelMatrix(np.array([[3], [1]]), 3))
+        read, paired = [], []
+        original = cli.sample_confusion
+
+        def reading(path):
+            read.append(read_labels(path))
+            return read[-1]
+
+        def pairing(labels, preds):
+            paired.extend([labels, preds])
+            return original(labels, preds)
+
+        monkeypatch.setattr(cli, "read_labels", reading)
+        monkeypatch.setattr(cli, "sample_confusion", pairing)
+        argv = ["eval", "--labels", str(tmp_path / "labels.csv"),
+                "--preds", str(tmp_path / "preds.csv"), "--metric", "micro_f1",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert [m.n_classes for m in read] == [2, 3]
+        assert [m.n_classes for m in paired] == [3, 3]
+        for before, after in zip(read, paired):
+            assert np.shares_memory(before.values, after.values)

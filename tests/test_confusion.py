@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricopt.averaging import micro_confusion
 from metricopt.confusion import (
     ConfusionTensor,
     LabelMatrix,
@@ -43,6 +44,20 @@ class TestTypes:
         lab = LabelMatrix(np.array([[1], [2]]), 2)
         with pytest.raises(ValueError):
             lab.values[0, 0] = 2
+
+    def test_a_read_only_array_is_shared(self):
+        lab = LabelMatrix(np.array([[1], [2]]), 2)
+        assert np.shares_memory(LabelMatrix(lab.values, 3).values, lab.values)
+
+    def test_a_writable_array_is_copied(self):
+        values = np.array([[1], [2]])
+        lab = LabelMatrix(values, 2)
+        view = values[:]
+        view.flags.writeable = False  # read-only, but its base can still be written
+        from_view = LabelMatrix(view, 2)
+        values[:] = 2
+        np.testing.assert_array_equal(lab.values, [[1], [2]])
+        np.testing.assert_array_equal(from_view.values, [[1], [2]])
 
 
 class TestSampleConfusion:
@@ -116,10 +131,12 @@ class TestPerSampleConfusion:
     def test_mean_recovers_sample_confusion(self, rng):
         labels = LabelMatrix(random_labels(rng, 15, 2, 3), 3)
         preds = PredictionMatrix(random_labels(rng, 15, 2, 3), 3)
-        per = per_sample_confusion(labels, preds)
-        assert per.shape == (15, 2, 3, 3)
-        np.testing.assert_allclose(per.mean(axis=0), sample_confusion(labels, preds).values)
-        np.testing.assert_allclose(per.sum(axis=(2, 3)), 1.0)
+        weights = np.array([0.25, 0.75])
+        per = per_sample_confusion(labels, preds, weights)
+        assert per.shape == (15, 3, 3)
+        micro = micro_confusion(sample_confusion(labels, preds), weights)
+        np.testing.assert_allclose(per.mean(axis=0), micro)
+        np.testing.assert_allclose(per.sum(axis=(1, 2)), 1.0)
 
 
 class TestMaskedConfusion:

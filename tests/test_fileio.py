@@ -263,5 +263,6 @@ def test_a_million_row_label_file_reads_within_four_arrays(tmp_path):
         tracemalloc.stop()
     final = labels.values.nbytes
     assert final == 8 * n
-    assert peak <= 4 * final, f"peak {peak / 1e6:.1f} MB for an {final / 1e6:.0f} MB array"
+    # the matrix holds the parsed array itself; the rest is np.loadtxt's chunk buffer
+    assert peak <= 1.5 * final, f"peak {peak / 1e6:.1f} MB for an {final / 1e6:.0f} MB array"
     np.testing.assert_array_equal(labels.values[:, 0], classes)

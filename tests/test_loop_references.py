@@ -2,9 +2,11 @@
 weighted decision rule."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricopt.averaging import instance_utility
 from metricopt.confusion import (
     LabelMatrix,
     ObservationMask,
@@ -12,9 +14,12 @@ from metricopt.confusion import (
     ProbabilityField,
     expected_confusion,
     masked_confusion,
+    per_sample_confusion,
     sample_confusion,
 )
 from metricopt.decision import LossTensor, WeightedClassifier, weighted_predict
+from metricopt.errors import GuardError
+from metricopt.metrics import MetricSpec, _eval_batch
 
 # A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
 EPS = np.finfo(float).eps
@@ -72,3 +77,43 @@ def test_builders_match_per_cell_loops(n, m_out, k, seed):
                 sum(loss.values[m, l, c] * eighths[s, m, l] for l in range(k)) for c in range(k)
             ]
             assert got[s, m] == scores.index(min(scores)) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m_out=st.integers(1, 4),
+    k=st.integers(2, 5),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m_out=1, k=2, uniform=True, seed=0)
+@example(n=1, m_out=1, k=2, uniform=False, seed=0)
+def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, uniform, seed):
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    preds = PredictionMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    weights = np.full(m_out, 1.0 / m_out) if uniform else rng.dirichlet(np.ones(m_out))
+
+    # outputs added in order, as the kernel does, so the sums agree exactly
+    looped = np.zeros((n, k, k))
+    for s in range(n):
+        for m in range(m_out):
+            looped[s, labels.values[s, m] - 1, preds.values[s, m] - 1] += weights[m]
+    per = per_sample_confusion(labels, preds, weights)
+    np.testing.assert_array_equal(per, looped)
+
+    # the former instance averaging: a dense one-hot (N, M, K, K) tensor folded over outputs
+    dense = np.zeros((n, m_out, k, k))
+    for s in range(n):
+        for m in range(m_out):
+            dense[s, m, labels.values[s, m] - 1, preds.values[s, m] - 1] = 1.0
+    folded = np.einsum("m,nmij->nij", weights, dense)
+    np.testing.assert_allclose(per, folded, rtol=0, atol=m_out * EPS)
+    for spec in (MetricSpec.ordinal(k), MetricSpec.micro_f1(k)):
+        reference = _eval_batch(spec, folded)
+        if np.isnan(reference).any():
+            with pytest.raises(GuardError):
+                instance_utility(spec, per)
+        else:
+            assert instance_utility(spec, per) == pytest.approx(reference.mean(), rel=0, abs=1e-14)
