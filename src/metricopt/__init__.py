@@ -13,20 +13,16 @@ from .bisection import (
 from .confusion import (
     ConfusionTensor,
     LabelMatrix,
-    ObservationMask,
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
-    masked_confusion,
     per_sample_confusion,
     sample_confusion,
 )
 from .decision import (
     LossTensor,
-    MixtureClassifier,
     WeightedClassifier,
     expected_weighted_loss,
-    mixture_predict,
     weighted_predict,
 )
 from .errors import GuardError
@@ -64,9 +60,7 @@ __all__ = [
     "LossMatrix",
     "LossTensor",
     "MetricSpec",
-    "MixtureClassifier",
     "MultinomialLRModel",
-    "ObservationMask",
     "PredictionMatrix",
     "ProbabilityField",
     "SyntheticConfig",
@@ -84,12 +78,10 @@ __all__ = [
     "loss_from_gamma",
     "loss_from_gradient",
     "macro_utility",
-    "masked_confusion",
     "metric_from_config",
     "metric_gradient",
     "micro_confusion",
     "micro_utility",
-    "mixture_predict",
     "per_sample_confusion",
     "performance_ratio",
     "performance_ratio_grid",

@@ -63,7 +63,9 @@ def micro_confusion(conf: ConfusionTensor, weights: np.ndarray) -> np.ndarray:
 def micro_utility(spec: MetricSpec, conf: ConfusionTensor, avg: AveragingSpec) -> float:
     if avg.mode != "micro":
         raise ValueError(f"micro_utility called with mode {avg.mode!r}")
-    return eval_metric(spec, micro_confusion(conf, avg.weights_for(conf.n_outputs)))
+    # the slices carry unit mass, so the sum carries sum(weights), which need not be 1
+    micro = micro_confusion(conf, avg.weights_for(conf.n_outputs))
+    return eval_metric(spec, micro, check_mass=False)
 
 
 def macro_utility(spec: MetricSpec, conf: ConfusionTensor, avg: AveragingSpec) -> float:

@@ -56,7 +56,6 @@ class BisectionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
     gamma: float
     lower: float
     upper: float
@@ -66,12 +65,11 @@ class IterationRecord:
 
 @dataclass
 class BisectionTrace:
-    """Full iteration history plus the final loss slice and classifier."""
+    """Full iteration history plus the final loss slice and its utility."""
 
     records: list[IterationRecord]
     final_loss: np.ndarray
     final_utility: float
-    classifier: WeightedClassifier
 
     @property
     def widths(self) -> np.ndarray:
@@ -115,7 +113,7 @@ def _bisect_single(
 
     lower, upper = 0.0, 1.0
     records: list[IterationRecord] = []
-    for t in range(1, cfg.iterations + 1):
+    for _ in range(cfg.iterations):
         gamma = 0.5 * (lower + upper)
         cand_loss = loss_from_gamma(flm, gamma).values
         cand_utility = utility_of(cand_loss)
@@ -126,7 +124,7 @@ def _bisect_single(
                 best_loss, best_utility = cand_loss, cand_utility
         else:
             upper = gamma
-        records.append(IterationRecord(t, gamma, lower, upper, cand_utility, accepted))
+        records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
     return best_loss, best_utility, records
 
 
@@ -163,7 +161,7 @@ def bisect_micro(
         labels, probs_hat, flm, cfg, np.full(m_out, 1.0 / m_out)
     )
     classifier = WeightedClassifier(LossTensor.shared(loss, m_out))
-    return classifier, BisectionTrace(records, loss, utility, classifier)
+    return classifier, BisectionTrace(records, loss, utility)
 
 
 def bisect_macro(
@@ -181,9 +179,7 @@ def bisect_macro(
         probs_m = ProbabilityField(probs_hat.values[:, m : m + 1, :])
         loss, utility, records = _bisect_single(labels_m, probs_m, flm, cfg, np.ones(1))
         slices.append(loss)
-        traces.append(
-            BisectionTrace(records, loss, utility, WeightedClassifier(LossTensor.shared(loss, 1)))
-        )
+        traces.append(BisectionTrace(records, loss, utility))
     classifier = WeightedClassifier(LossTensor.from_slices(slices))
     return classifier, traces
 

@@ -143,25 +143,6 @@ class ConfusionTensor:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ObservationMask:
-    """Set of observed (sample, output) index pairs, 0-based."""
-
-    entries: frozenset
-
-    def __post_init__(self):
-        entries = frozenset((int(n), int(m)) for n, m in self.entries)
-        if not entries:
-            raise ValueError("no observed entries")
-        if any(n < 0 or m < 0 for n, m in entries):
-            raise ValueError("mask entries must be nonnegative indices")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def full(cls, n_samples: int, n_outputs: int) -> "ObservationMask":
-        return cls(frozenset((n, m) for n in range(n_samples) for m in range(n_outputs)))
-
-
 def _check_paired(labels: LabelMatrix, preds: PredictionMatrix) -> None:
     if labels.values.shape != preds.values.shape:
         raise ValueError(
@@ -182,22 +163,28 @@ def _joint_counts(
 ) -> np.ndarray:
     """Joint (true, predicted) counts per column of ``pred``, shape (M, K, K).
 
-    ``pred`` holds 0-based (N, M) classes.  Each entry adds one unit, or its
-    entry of ``weights`` (broadcast against ``pred``), at its 0-based ``true``
+    ``pred`` holds 1-based (N, M) classes.  Each entry adds one unit, or its
+    entry of ``weights`` (broadcast against ``pred``), at its 1-based ``true``
     class, or its weight row ``rows[n, m]`` (length K) across the true classes.
-    A single ``np.bincount`` adds the entries in row order, so weighted sums
-    equal those of a sequential loop.
+    A single ``np.bincount`` adds the entries of a column in row order, so
+    weighted sums equal those of a sequential loop.
     """
     k = n_classes
     m_out = pred.shape[1]
-    cell = np.arange(m_out) * (k * k) + pred  # flat index of (output, true class 0, pred)
+    # K * true + pred + offset is the flat index of (column, true - 1, pred - 1)
+    offset = np.arange(m_out) * (k * k) - (k + 1)
     if rows is None:
+        # one index array, built in place in the memory order of ``true``
+        index = np.multiply(true, k, dtype=np.intp)
+        index += pred
+        index += offset
+        order = "F" if index.flags.f_contiguous else "C"
         if weights is not None:
-            weights = np.broadcast_to(weights, pred.shape).ravel()
-        counts = np.bincount((cell + k * true).ravel(), weights=weights, minlength=m_out * k * k)
+            weights = np.broadcast_to(weights, index.shape).ravel(order)
+        counts = np.bincount(index.ravel(order), weights=weights, minlength=m_out * k * k)
     else:
-        cells = cell[:, :, None] + k * np.arange(k)
-        counts = np.bincount(cells.ravel(), weights=rows.ravel(), minlength=m_out * k * k)
+        index = (pred + (offset + k))[:, :, None] + k * np.arange(k)
+        counts = np.bincount(index.ravel(), weights=rows.ravel(), minlength=m_out * k * k)
     return counts.reshape(m_out, k, k)
 
 
@@ -206,7 +193,7 @@ def sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> ConfusionT
     fraction of samples with true class i and predicted class j in output m.
     """
     _check_paired(labels, preds)
-    counts = _joint_counts(preds.values - 1, labels.n_classes, true=labels.values - 1)
+    counts = _joint_counts(preds.values, labels.n_classes, true=labels.values)
     return ConfusionTensor(counts / labels.n_samples)
 
 
@@ -228,28 +215,8 @@ def per_sample_confusion(
         raise ValueError("output weights must be nonnegative")
     # each sample is one column of the kernel; its outputs are the rows
     return _joint_counts(
-        preds.values.T - 1, labels.n_classes, true=labels.values.T - 1, weights=weights[:, None]
+        preds.values.T, labels.n_classes, true=labels.values.T, weights=weights[:, None]
     )
-
-
-def masked_confusion(
-    labels: LabelMatrix, preds: PredictionMatrix, mask: ObservationMask
-) -> np.ndarray:
-    """Confusion matrix over the observed (sample, output) pairs only.
-
-    Each observed pair contributes equal mass 1/|mask|; the result is a plain
-    K x K array with total mass 1.
-    """
-    _check_paired(labels, preds)
-    n, m_out = labels.values.shape
-    samples, outputs = np.array(sorted(mask.entries)).T
-    outside = (samples >= n) | (outputs >= m_out)
-    if outside.any():
-        pair = (int(samples[outside][0]), int(outputs[outside][0]))
-        raise ValueError(f"mask entry {pair} out of bounds for {n} samples x {m_out} outputs")
-    true = labels.values[samples, outputs, None] - 1
-    counts = _joint_counts(preds.values[samples, outputs, None] - 1, labels.n_classes, true=true)
-    return counts[0] / samples.size
 
 
 def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:
@@ -268,5 +235,5 @@ def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> Conf
         raise ValueError(
             f"probability field uses K={probs.n_classes} but predictions use K={preds.n_classes}"
         )
-    counts = _joint_counts(preds.values - 1, probs.n_classes, rows=probs.values)
+    counts = _joint_counts(preds.values, probs.n_classes, rows=probs.values)
     return ConfusionTensor(counts / probs.n_samples)

@@ -61,36 +61,12 @@ class LossTensor:
             "slices": self.values.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LossTensor":
-        tensor = cls(np.asarray(doc["slices"], dtype=float))
-        if tensor.n_outputs != doc["M"] or tensor.n_classes != doc["K"]:
-            raise ValueError("loss tensor document dimensions disagree with its slices")
-        return tensor
-
 
 @dataclass(frozen=True)
 class WeightedClassifier:
     """Deterministic argmin-of-weighted-score rule; ties go to the lowest class."""
 
     loss: LossTensor
-
-    def predict(self, probs: ProbabilityField) -> PredictionMatrix:
-        return weighted_predict(self, probs)
-
-
-@dataclass(frozen=True)
-class MixtureClassifier:
-    """Randomized blend: each (sample, output) follows ``first`` with
-    probability ``alpha`` and ``second`` otherwise."""
-
-    first: WeightedClassifier
-    second: WeightedClassifier
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"mixture alpha must lie in [0, 1], got {self.alpha}")
 
 
 def weighted_predict(clf: WeightedClassifier, probs: ProbabilityField) -> PredictionMatrix:
@@ -110,19 +86,6 @@ def weighted_predict(clf: WeightedClassifier, probs: ProbabilityField) -> Predic
     # argmin returns the first minimizer, which is the lowest class index.
     preds = np.argmin(scores, axis=2).T + 1
     return PredictionMatrix(preds, n_classes=probs.n_classes)
-
-
-def mixture_predict(clf: MixtureClassifier, probs: ProbabilityField, seed: int) -> PredictionMatrix:
-    """Seed-reproducible mixture of the two component predictions.
-
-    A counter-based generator draws one uniform per (sample, output), so the
-    outcome is independent of evaluation order.
-    """
-    first = weighted_predict(clf.first, probs).values
-    second = weighted_predict(clf.second, probs).values
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(first.shape)
-    chosen = np.where(uniforms < clf.alpha, first, second)
-    return PredictionMatrix(chosen, n_classes=probs.n_classes)
 
 
 def expected_weighted_loss(loss: LossTensor, conf: ConfusionTensor) -> float:

@@ -251,9 +251,10 @@ def eval_metric(spec: MetricSpec, conf: np.ndarray, *, check_mass: bool = True) 
     """Evaluate a metric on one confusion matrix.
 
     Raises GuardError when a fractional denominator falls below the floor,
-    ValueError on malformed input.  ``check_mass=False`` admits confusions
-    whose total mass is not 1 (needed for non-normalized averaging weights;
-    fractional kinds are scale-invariant so their value is unaffected).
+    ValueError on malformed input.  ``check_mass=False`` admits confusions of
+    any total mass, such as the micro sum of unit-mass slices under output
+    weights that do not sum to 1: linear kinds then scale with the mass, and
+    fractional kinds, being scale-invariant, keep their value.
     """
     conf = _validate_confusion(spec, conf, check_mass)
     value = float(_eval_batch(spec, conf))

@@ -190,6 +190,33 @@ class TestWeightScaling:
         scaled = macro_utility(spec, conf, AveragingSpec("macro", scale * weights))
         assert scaled == pytest.approx(scale * base, rel=1e-12)
 
+    def test_micro_utility_scales_linearly_for_a_linear_metric(self, rng):
+        conf = random_tensor(rng, 3, 3)
+        weights = rng.random(3) + 0.1
+        scale = 2.5
+        spec = MetricSpec.ordinal(3)
+        base = micro_utility(spec, conf, AveragingSpec("micro", weights))
+        scaled = micro_utility(spec, conf, AveragingSpec("micro", scale * weights))
+        assert scaled == pytest.approx(scale * base, rel=1e-12)
+
+    def test_micro_utility_accepts_weights_that_do_not_sum_to_one(self):
+        values = np.array([[1, 2], [2, 1], [2, 2]])
+        conf = sample_confusion(LabelMatrix(values, 2), PredictionMatrix(values, 2))
+        avg = AveragingSpec("micro", [0.3, 0.3])
+        # a perfect prediction: ordinal scales with the mass 0.6, micro-F1 is a ratio
+        assert micro_utility(MetricSpec.ordinal(2), conf, avg) == pytest.approx(0.6, abs=1e-15)
+        assert micro_utility(MetricSpec.micro_f1(2), conf, avg) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["ordinal", "micro_f1"])
+    def test_micro_utility_scores_the_oracle_optimum(self, kind, rng):
+        spec = MetricSpec.micro_f1(2) if kind == "micro_f1" else MetricSpec.ordinal(2)
+        avg = AveragingSpec("micro", [0.3, 0.3])
+        for _ in range(5):
+            labels = LabelMatrix(random_labels(rng, 4, 2, 2), 2)
+            best, preds = brute_force_oracle(labels, None, spec, avg)
+            got = micro_utility(spec, sample_confusion(labels, preds), avg)
+            assert got == pytest.approx(best, abs=1e-12)
+
     def test_maximizer_unchanged_under_weight_scaling(self, rng):
         spec = MetricSpec.ordinal(2)
         labels = LabelMatrix(random_labels(rng, 4, 2, 2), 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,9 @@ from metricopt.averaging import micro_confusion
 from metricopt.confusion import (
     ConfusionTensor,
     LabelMatrix,
-    ObservationMask,
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
-    masked_confusion,
     per_sample_confusion,
     sample_confusion,
 )
@@ -35,10 +35,6 @@ class TestTypes:
         bad = np.full((1, 2, 2), 0.3)
         with pytest.raises(ValueError, match="mass 1"):
             ConfusionTensor(bad)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="no observed entries"):
-            ObservationMask(frozenset())
 
     def test_values_are_readonly(self):
         lab = LabelMatrix(np.array([[1], [2]]), 2)
@@ -138,38 +134,20 @@ class TestPerSampleConfusion:
         np.testing.assert_allclose(per.mean(axis=0), micro)
         np.testing.assert_allclose(per.sum(axis=(1, 2)), 1.0)
 
-
-class TestMaskedConfusion:
-    def test_full_mask_single_output_matches_sample(self, rng):
-        labels = LabelMatrix(random_labels(rng, 10, 1, 3), 3)
-        preds = PredictionMatrix(random_labels(rng, 10, 1, 3), 3)
-        mask = ObservationMask.full(10, 1)
-        np.testing.assert_allclose(
-            masked_confusion(labels, preds, mask), sample_confusion(labels, preds).values[0]
-        )
-
-    def test_singleton_mask(self):
-        labels = LabelMatrix(np.array([[1, 2], [1, 1]]), 2)
-        preds = PredictionMatrix(np.array([[1, 1], [2, 2]]), 2)
-        out = masked_confusion(labels, preds, ObservationMask(frozenset({(0, 1)})))
-        expected = np.zeros((2, 2))
-        expected[1, 0] = 1.0  # true class 2 predicted as class 1
-        np.testing.assert_array_equal(out, expected)
-
-    def test_three_entry_mask_gives_thirds(self):
-        labels = LabelMatrix(np.array([[1, 2], [2, 1]]), 2)
-        preds = PredictionMatrix(np.array([[1, 1], [1, 1]]), 2)
-        mask = ObservationMask(frozenset({(0, 0), (0, 1), (1, 0)}))
-        out = masked_confusion(labels, preds, mask)
-        expected = np.array([[1 / 3, 0.0], [2 / 3, 0.0]])
-        np.testing.assert_allclose(out, expected)
-        assert out.sum() == pytest.approx(1.0)
-
-    def test_out_of_bounds_mask_rejected(self):
-        labels = LabelMatrix(np.array([[1], [2]]), 2)
-        preds = PredictionMatrix(np.array([[1], [1]]), 2)
-        with pytest.raises(ValueError, match="out of bounds"):
-            masked_confusion(labels, preds, ObservationMask(frozenset({(5, 0)})))
+    def test_peak_memory_stays_near_the_result(self):
+        rng = np.random.default_rng(0)
+        n, m_out, k = 20000, 8, 5
+        labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+        preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
+        weights = np.full(m_out, 1.0 / m_out)
+        tracemalloc.start()
+        try:
+            per = per_sample_confusion(labels, preds, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # besides the (N, K, K) result: one N*M index and one N*M weight array
+        assert peak <= 1.8 * per.nbytes, f"peak {peak / per.nbytes:.2f}x the result"
 
 
 class TestExpectedConfusion:

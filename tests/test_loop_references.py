@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from metricopt.averaging import instance_utility
 from metricopt.confusion import (
     LabelMatrix,
-    ObservationMask,
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
-    masked_confusion,
     per_sample_confusion,
     sample_confusion,
 )
@@ -44,17 +42,6 @@ def test_builders_match_per_cell_loops(n, m_out, k, seed):
         for m in range(m_out):
             counts[m, labels.values[s, m] - 1, preds.values[s, m] - 1] += 1
     np.testing.assert_array_equal(sample_confusion(labels, preds).values, counts / n)
-
-    observed = rng.random((n, m_out)) < 0.5
-    observed[rng.integers(n), rng.integers(m_out)] = True
-    entries = [(s, m) for s in range(n) for m in range(m_out) if observed[s, m]]
-    masked = np.zeros((k, k), dtype=np.int64)
-    for s, m in entries:
-        masked[labels.values[s, m] - 1, preds.values[s, m] - 1] += 1
-    np.testing.assert_array_equal(
-        masked_confusion(labels, preds, ObservationMask(frozenset(entries))),
-        masked / len(entries),
-    )
 
     expected = np.zeros((m_out, k, k))
     for m in range(m_out):
