@@ -19,12 +19,7 @@ from .confusion import (
     per_sample_confusion,
     sample_confusion,
 )
-from .decision import (
-    LossTensor,
-    WeightedClassifier,
-    expected_weighted_loss,
-    weighted_predict,
-)
+from .decision import expected_weighted_loss, weighted_predict
 from .errors import GuardError
 from .estimators import (
     MultinomialLRModel,
@@ -37,7 +32,7 @@ from .estimators import (
 )
 from .metrics import (
     FractionalLinearMetric,
-    LossMatrix,
+    LossTensor,
     MetricSpec,
     as_fractional_linear,
     eval_metric,
@@ -57,14 +52,12 @@ __all__ = [
     "FractionalLinearMetric",
     "GuardError",
     "LabelMatrix",
-    "LossMatrix",
     "LossTensor",
     "MetricSpec",
     "MultinomialLRModel",
     "PredictionMatrix",
     "ProbabilityField",
     "SyntheticConfig",
-    "WeightedClassifier",
     "as_fractional_linear",
     "bisect_macro",
     "bisect_micro",

@@ -2,9 +2,13 @@
 
 For a ratio-of-linear metric, "is the optimum at least gamma" reduces to
 maximizing the linear functional <A - gamma*B, C>, which the weighted
-classifier with loss gamma*B - A solves exactly.  Halving the bracket
-[lower, upper] on that test pins the optimal utility to within 2^-T after
-T iterations.  Micro averaging shares one loss matrix across all outputs;
+classifier with loss gamma*B - A solves exactly (Dinkelbach's parametric
+method).  The search starts from the bracket [min, max] of the ratios
+A_ij / B_ij over the cells with B_ij > 0: when B >= 0 and A = 0 wherever
+B = 0, every utility is a weighted mean of those ratios.  Metrics outside
+that class are refused with GuardError.  Halving the bracket on the test
+pins the optimal utility to within 2^-T times the initial width after T
+iterations.  Micro averaging shares one loss matrix across all outputs;
 macro averaging runs one independent search per output.
 
 Candidates can be scored on the sample confusion of the evaluation labels
@@ -27,9 +31,9 @@ from .confusion import (
     expected_confusion,
     sample_confusion,
 )
-from .decision import LossTensor, WeightedClassifier, weighted_predict
+from .decision import weighted_predict
 from .errors import GuardError
-from .metrics import FractionalLinearMetric, MetricSpec, _eval_batch, loss_from_gamma
+from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, _eval_batch, loss_from_gamma
 
 # brute_force_oracle refuses instances with more deterministic assignments.
 MAX_ENUMERATION = 1_000_000
@@ -71,10 +75,6 @@ class BisectionTrace:
     final_loss: np.ndarray
     final_utility: float
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.array([r.upper - r.lower for r in self.records])
-
     def to_dict(self) -> dict:
         return {
             "iterations": len(self.records),
@@ -88,18 +88,32 @@ class BisectionTrace:
         }
 
 
+def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
+    """[min, max] of A_ij / B_ij over the cells with B_ij > 0.
+
+    Valid when B >= 0 and A = 0 wherever B = 0: then <A, C> / <B, C> is a
+    weighted mean of those ratios for every nonnegative confusion C.
+    """
+    a, b = flm.numerator_A, flm.denominator_B
+    positive = b > 0
+    if (b < 0).any() or (a[~positive] != 0).any() or not positive.any():
+        raise GuardError("bisection needs B >= 0, B != 0, and A = 0 wherever B = 0")
+    ratios = a[positive] / b[positive]
+    return float(ratios.min()), float(ratios.max())
+
+
 def _bisect_single(
     labels: LabelMatrix,
     probs: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
     weights: np.ndarray,
-) -> tuple[np.ndarray, float, list[IterationRecord]]:
-    k, m_out = flm.n_classes, probs.n_outputs
+) -> tuple[LossTensor, float, list[IterationRecord]]:
+    k = flm.n_classes
+    lower, upper = _ratio_bracket(flm)
 
-    def utility_of(loss_matrix: np.ndarray) -> float:
-        classifier = WeightedClassifier(LossTensor.shared(loss_matrix, m_out))
-        preds = weighted_predict(classifier, probs)
+    def utility_of(loss: LossTensor) -> float:
+        preds = weighted_predict(loss, probs)
         if cfg.eval_mode == "sample":
             conf = sample_confusion(labels, preds)
         else:
@@ -108,14 +122,13 @@ def _bisect_single(
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
-    best_loss = np.ones((k, k)) - np.eye(k)
+    best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
     best_utility = utility_of(best_loss)
 
-    lower, upper = 0.0, 1.0
     records: list[IterationRecord] = []
     for _ in range(cfg.iterations):
         gamma = 0.5 * (lower + upper)
-        cand_loss = loss_from_gamma(flm, gamma).values
+        cand_loss = loss_from_gamma(flm, gamma)
         cand_utility = utility_of(cand_loss)
         accepted = cand_utility >= gamma  # exact equality counts as success
         if accepted:
@@ -148,20 +161,20 @@ def bisect_micro(
     probs_hat: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
-) -> tuple[WeightedClassifier, BisectionTrace]:
+) -> tuple[LossTensor, BisectionTrace]:
     """Search for the micro-averaged optimum with one loss shared by all outputs.
 
     ``labels`` and ``probs_hat`` are the evaluation split and the probability
-    estimates at its points; the metric must map feasible confusions into
-    [0, 1] so the initial bracket [0, 1] is valid.
+    estimates at its points.  The returned loss repeats that K x K matrix as
+    one slice per output.
     """
     _check_bisect_inputs(labels, probs_hat, flm)
-    m_out = labels.n_outputs
+    m_out, k = labels.n_outputs, flm.n_classes
     loss, utility, records = _bisect_single(
         labels, probs_hat, flm, cfg, np.full(m_out, 1.0 / m_out)
     )
-    classifier = WeightedClassifier(LossTensor.shared(loss, m_out))
-    return classifier, BisectionTrace(records, loss, utility)
+    tiled = LossTensor(np.broadcast_to(loss.values, (m_out, k, k)))
+    return tiled, BisectionTrace(records, loss.values, utility)
 
 
 def bisect_macro(
@@ -169,7 +182,7 @@ def bisect_macro(
     probs_hat: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
-) -> tuple[WeightedClassifier, list[BisectionTrace]]:
+) -> tuple[LossTensor, list[BisectionTrace]]:
     """Independent single-output searches; the loss slices may differ per output."""
     _check_bisect_inputs(labels, probs_hat, flm)
     slices = []
@@ -178,10 +191,9 @@ def bisect_macro(
         labels_m = LabelMatrix(labels.values[:, m : m + 1], labels.n_classes)
         probs_m = ProbabilityField(probs_hat.values[:, m : m + 1, :])
         loss, utility, records = _bisect_single(labels_m, probs_m, flm, cfg, np.ones(1))
-        slices.append(loss)
-        traces.append(BisectionTrace(records, loss, utility))
-    classifier = WeightedClassifier(LossTensor.from_slices(slices))
-    return classifier, traces
+        slices.append(loss.values)
+        traces.append(BisectionTrace(records, loss.values, utility))
+    return LossTensor(np.stack(slices)), traces
 
 
 def _decode_assignments(start: int, stop: int, n_cells: int, n_classes: int) -> np.ndarray:

@@ -29,11 +29,17 @@ from .confusion import (
     per_sample_confusion,
     sample_confusion,
 )
-from .decision import LossTensor, WeightedClassifier, weighted_predict
+from .decision import weighted_predict
 from .errors import GuardError
 from .estimators import fit_lr, performance_ratio_grid, predict_proba
 from .fileio import read_features, read_labels, read_probs, write_predictions, write_probs
-from .metrics import MetricSpec, as_fractional_linear, loss_from_gradient, metric_from_config
+from .metrics import (
+    LossTensor,
+    MetricSpec,
+    as_fractional_linear,
+    loss_from_gradient,
+    metric_from_config,
+)
 
 
 @dataclass
@@ -195,20 +201,20 @@ def cmd_postprocess(args) -> int:
     trace_doc: dict | list | None
     if flm.is_linear:
         # constant gradient: the optimal loss is closed-form, no search needed
-        uniform = np.full((spec.n_classes,) * 2, 1.0 / spec.n_classes**2)
-        loss = LossTensor.shared(loss_from_gradient(spec, uniform), labels.n_outputs)
-        classifier = WeightedClassifier(loss)
+        k = spec.n_classes
+        shared = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2)).values
+        loss = LossTensor(np.broadcast_to(shared, (labels.n_outputs, k, k)))
         trace_doc = None
     else:
         cfg = BisectionConfig(iterations=args.iters)
         if args.averaging == "micro":
-            classifier, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
+            loss, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
             trace_doc = trace.to_dict()
         else:
-            classifier, traces = bisect_macro(labels_eval, probs_eval, flm, cfg)
+            loss, traces = bisect_macro(labels_eval, probs_eval, flm, cfg)
             trace_doc = [t.to_dict() for t in traces]
 
-    preds = weighted_predict(classifier, probs_full)
+    preds = weighted_predict(loss, probs_full)
     if args.preds:
         write_predictions(args.preds, preds)
     conf = sample_confusion(labels, preds)
@@ -234,7 +240,7 @@ def cmd_postprocess(args) -> int:
         seed=seed,
         utilities=utilities,
         confusion=conf.values.tolist(),
-        loss=classifier.loss.to_dict(),
+        loss=loss.to_dict(),
         trace=trace_doc,
         wall_clock_s=time.perf_counter() - started,
     )

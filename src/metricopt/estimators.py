@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .confusion import LabelMatrix, ProbabilityField, sample_confusion
-from .decision import LossTensor, WeightedClassifier, weighted_predict
+from .decision import weighted_predict
 from .errors import GuardError
-from .metrics import MetricSpec, eval_metric, loss_from_gradient
+from .metrics import LossTensor, MetricSpec, eval_metric, loss_from_gradient
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -193,11 +193,10 @@ def _ratio_from_cell(
     """(baseline utility, weighted-rule utility, ratio) under the c2 metric."""
     k = labels_test.n_classes
     spec = MetricSpec.weighted_exp(k, c2)
-    argmax_loss = LossTensor.shared(np.ones((k, k)) - np.eye(k), labels_test.n_outputs)
-    tuned = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
-    tuned_loss = LossTensor.shared(tuned, labels_test.n_outputs)
-    preds_base = weighted_predict(WeightedClassifier(argmax_loss), probs_test)
-    preds_tuned = weighted_predict(WeightedClassifier(tuned_loss), probs_test)
+    argmax_loss = LossTensor(np.ones((k, k)) - np.eye(k))
+    tuned_loss = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
+    preds_base = weighted_predict(argmax_loss, probs_test)
+    preds_tuned = weighted_predict(tuned_loss, probs_test)
     utility_base = eval_metric(spec, sample_confusion(labels_test, preds_base).values[0])
     utility_tuned = eval_metric(spec, sample_confusion(labels_test, preds_tuned).values[0])
     if utility_base <= 0.0:

@@ -97,25 +97,31 @@ class FractionalLinearMetric:
 
 
 @dataclass(frozen=True)
-class LossMatrix:
-    """K x K weight matrix with entries in [0, 1]; row k weights the cost of
-    predicting class k given each true class."""
+class LossTensor:
+    """Loss weights in [0, 1]: one K x K matrix shared by every output, or an
+    (M, K, K) stack with one slice per output.  L[..., i, j] is the cost of
+    predicting class j when the true class is i."""
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError(f"loss matrix must be square, got shape {values.shape}")
+        if values.ndim not in (2, 3) or values.shape[-1] != values.shape[-2]:
+            raise ValueError(f"loss must have shape (K, K) or (M, K, K), got {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("loss matrix must be finite")
+            raise ValueError("loss must be finite")
         if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-            raise ValueError("loss matrix entries must lie in [0, 1]")
+            raise ValueError("loss entries must lie in [0, 1]")
         object.__setattr__(self, "values", _readonly(values))
 
     @property
     def n_classes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
+
+    def to_dict(self) -> dict:
+        """Document form of an (M, K, K) stack."""
+        m_out, k, _ = self.values.shape
+        return {"M": m_out, "K": k, "slices": self.values.tolist()}
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,10 @@ class MetricSpec:
 
     @classmethod
     def loss_based(cls, loss) -> "MetricSpec":
-        loss_mat = LossMatrix(loss)
-        return cls("loss_based", loss_mat.n_classes, loss=loss_mat.values)
+        loss = LossTensor(loss)
+        if loss.values.ndim != 2:
+            raise ValueError(f"loss_based needs one K x K loss, got shape {loss.values.shape}")
+        return cls("loss_based", loss.n_classes, loss=loss.values)
 
 
 def _ordinal_weights(n_classes: int) -> np.ndarray:
@@ -322,15 +330,15 @@ def as_fractional_linear(spec: MetricSpec) -> FractionalLinearMetric:
     raise ValueError(f"not fractional-linear: {spec.kind}")
 
 
-def _rescale_unit(raw: np.ndarray) -> LossMatrix:
+def _rescale_unit(raw: np.ndarray) -> LossTensor:
     lo, hi = float(raw.min()), float(raw.max())
     if hi == lo:
-        return LossMatrix(np.zeros_like(raw))
-    return LossMatrix((raw - lo) / (hi - lo))
+        return LossTensor(np.zeros_like(raw))
+    return LossTensor((raw - lo) / (hi - lo))
 
 
-def loss_from_gamma(flm: FractionalLinearMetric, gamma: float) -> LossMatrix:
-    """Loss matrix gamma*B - A, rescaled into [0, 1].
+def loss_from_gamma(flm: FractionalLinearMetric, gamma: float) -> LossTensor:
+    """K x K loss gamma*B - A, rescaled into [0, 1].
 
     A constant raw matrix collapses to the zero matrix.  The rescaling never
     changes the induced weighted decision (it is a positive affine map).
@@ -340,8 +348,8 @@ def loss_from_gamma(flm: FractionalLinearMetric, gamma: float) -> LossMatrix:
     return _rescale_unit(gamma * flm.denominator_B - flm.numerator_A)
 
 
-def loss_from_gradient(spec: MetricSpec, conf: np.ndarray) -> LossMatrix:
-    """Loss matrix 1 - grad(psi)(conf), rescaled into [0, 1].
+def loss_from_gradient(spec: MetricSpec, conf: np.ndarray) -> LossTensor:
+    """K x K loss 1 - grad(psi)(conf), rescaled into [0, 1].
 
     For linear kinds the gradient is constant, so the result does not depend
     on ``conf``.

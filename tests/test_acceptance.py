@@ -33,15 +33,11 @@ from metricopt.confusion import (
     per_sample_confusion,
     sample_confusion,
 )
-from metricopt.decision import (
-    LossTensor,
-    WeightedClassifier,
-    expected_weighted_loss,
-    weighted_predict,
-)
+from metricopt.decision import expected_weighted_loss, weighted_predict
 from metricopt.errors import GuardError
 from metricopt.estimators import SyntheticConfig, generate_synthetic, performance_ratio_grid
 from metricopt.metrics import (
+    LossTensor,
     MetricSpec,
     _eval_batch,
     as_fractional_linear,
@@ -178,7 +174,7 @@ def test_criterion_3_oracle_equivalence():
 
             # part 1: the weighted rule attains the exhaustive minimum loss
             loss = LossTensor(rng.random((m_out, k, k)))
-            preds = weighted_predict(WeightedClassifier(loss), probs)
+            preds = weighted_predict(loss, probs)
             achieved = expected_weighted_loss(loss, expected_confusion(probs, preds))
             best = _min_expected_loss_exhaustive(loss, probs)
             assert achieved <= best + 1e-12
@@ -203,8 +199,8 @@ def test_criterion_3_oracle_equivalence():
                 spec = MetricSpec.micro_f1(k)
                 flm = as_fractional_linear(spec)
                 cfg = BisectionConfig(iterations=iterations, eval_mode="expected")
-                clf, _ = bisect_micro(labels, probs, flm, cfg)
-                bis_preds = weighted_predict(clf, probs)
+                loss, _ = bisect_micro(labels, probs, flm, cfg)
+                bis_preds = weighted_predict(loss, probs)
                 conf = expected_confusion(probs, bis_preds)
                 utility = flm.evaluate(conf.values.mean(axis=0))
                 oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
@@ -219,19 +215,19 @@ def test_criterion_4_bisection_mechanics():
         labels = LabelMatrix(rng.integers(1, 3, size=(20, 3)), 2)
         probs = ProbabilityField(rng.dirichlet(np.ones(2), size=(20, 3)))
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
-        clf, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
+        loss, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
         for t, record in enumerate(trace.records, start=1):
             assert record.upper - record.lower == 2.0**-t
         for m in range(1, 3):
-            np.testing.assert_array_equal(clf.loss.values[m], clf.loss.values[0])
+            np.testing.assert_array_equal(loss.values[m], loss.values[0])
 
         for _ in range(100):
             loss = LossTensor(rng.random((2, 3, 3)))
             field = ProbabilityField(rng.dirichlet(np.ones(3), size=(8, 2)))
-            base = weighted_predict(WeightedClassifier(loss), field)
+            base = weighted_predict(loss, field)
             scale = float(rng.uniform(0.05, 0.9))
             shift = float(rng.uniform(0.0, 1.0 - scale))
-            mapped = WeightedClassifier(LossTensor(scale * loss.values + shift))
+            mapped = LossTensor(scale * loss.values + shift)
             np.testing.assert_array_equal(base.values, weighted_predict(mapped, field).values)
 
 
@@ -362,8 +358,8 @@ def test_criterion_7_empirical_consistency():
             for n in REGRET_SIZES:
                 labels = LabelMatrix(labels_all.values[:n], REGRET_CLASSES)
                 probs = ProbabilityField(eta_all.values[:n])
-                clf, _ = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
-                utility = _population_utility(clf.loss.values[0], eta_ref, flm)
+                loss, _ = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
+                utility = _population_utility(loss.values[0], eta_ref, flm)
                 regrets[n].append(best - utility)
         medians = [float(np.median(regrets[n])) for n in REGRET_SIZES]
         print("        regret medians:", " ".join(f"{m:.2e}" for m in medians))
@@ -418,9 +414,8 @@ def test_criterion_8_postprocessing_never_loses():
         ]
         for labels, probs in fixtures:
             k = labels.n_classes
-            m_out = labels.n_outputs
-            argmax_loss = LossTensor.shared(np.ones((k, k)) - np.eye(k), m_out)
-            baseline_preds = weighted_predict(WeightedClassifier(argmax_loss), probs)
+            argmax_loss = LossTensor(np.ones((k, k)) - np.eye(k))
+            baseline_preds = weighted_predict(argmax_loss, probs)
             baseline_conf = sample_confusion(labels, baseline_preds)
             specs = [
                 MetricSpec.ordinal(k),
@@ -431,17 +426,16 @@ def test_criterion_8_postprocessing_never_loses():
                 flm = as_fractional_linear(spec)
                 for mode in ("micro", "macro"):
                     if flm.is_linear:
-                        tuned = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
-                        clf = WeightedClassifier(LossTensor.shared(tuned, m_out))
+                        loss = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
                     elif mode == "micro":
-                        clf, _ = bisect_micro(
+                        loss, _ = bisect_micro(
                             labels, probs, flm, BisectionConfig(iterations=iterations)
                         )
                     else:
-                        clf, _ = bisect_macro(
+                        loss, _ = bisect_macro(
                             labels, probs, flm, BisectionConfig(iterations=iterations)
                         )
-                    tuned_conf = sample_confusion(labels, weighted_predict(clf, probs))
+                    tuned_conf = sample_confusion(labels, weighted_predict(loss, probs))
                     avg = AveragingSpec(mode)
                     if mode == "micro":
                         tuned_u = micro_utility(spec, tuned_conf, avg)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metricopt.averaging import AveragingSpec, macro_utility
+from metricopt.averaging import AveragingSpec, macro_utility, micro_confusion
 from metricopt.bisection import (
     MAX_ENUMERATION,
     BisectionConfig,
+    _ratio_bracket,
     bisect_macro,
     bisect_micro,
     brute_force_oracle,
@@ -20,6 +23,7 @@ from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
 from metricopt.metrics import (
     FractionalLinearMetric,
+    LossTensor,
     MetricSpec,
     as_fractional_linear,
     loss_from_gamma,
@@ -70,33 +74,23 @@ class TestBisectMicro:
         labels = LabelMatrix(random_labels(rng, 10, 1, 2), 2)
         probs = ProbabilityField(random_prob_rows(rng, 10, 1, 2))
         cfg = BisectionConfig(iterations=40)
-        clf, trace = bisect_micro(labels, probs, flm, cfg)
+        _, trace = bisect_micro(labels, probs, flm, cfg)
         assert trace.final_utility == pytest.approx(u0, abs=1e-12)
         assert abs(trace.records[-1].gamma - u0) <= 2.0**-40 + 1e-12
-
-    def test_bracket_halves_exactly(self, rng):
-        labels = LabelMatrix(random_labels(rng, 12, 2, 2), 2)
-        probs = ProbabilityField(random_prob_rows(rng, 12, 2, 2))
-        flm = as_fractional_linear(MetricSpec.micro_f1(2))
-        _, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
-        widths = trace.widths
-        assert len(widths) == 50
-        for t, width in enumerate(widths, start=1):
-            assert width == 2.0**-t
 
     def test_micro_emits_identical_loss_slices(self, rng):
         labels = LabelMatrix(random_labels(rng, 15, 3, 2), 2)
         probs = ProbabilityField(random_prob_rows(rng, 15, 3, 2))
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
-        clf, _ = bisect_micro(labels, probs, flm, BisectionConfig(iterations=25))
+        loss, _ = bisect_micro(labels, probs, flm, BisectionConfig(iterations=25))
         for m in range(1, 3):
-            np.testing.assert_array_equal(clf.loss.values[m], clf.loss.values[0])
+            np.testing.assert_array_equal(loss.values[m], loss.values[0])
 
     def test_accepted_utility_never_decreases(self, rng):
         labels = LabelMatrix(random_labels(rng, 20, 1, 3), 3)
         probs = ProbabilityField(random_prob_rows(rng, 20, 1, 3))
         flm = as_fractional_linear(MetricSpec.micro_f1(3))
-        clf, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=30))
+        _, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=30))
         best_so_far = -np.inf
         for record in trace.records:
             if record.accepted:
@@ -108,8 +102,8 @@ class TestBisectMicro:
         labels = LabelMatrix(random_labels(rng, 16, 2, 2), 2)
         probs = ProbabilityField(random_prob_rows(rng, 16, 2, 2))
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
-        clf, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=30))
-        preds = weighted_predict(clf, probs)
+        loss, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=30))
+        preds = weighted_predict(loss, probs)
         conf = sample_confusion(labels, preds)
         achieved = flm.evaluate(conf.values.mean(axis=0))
         assert achieved >= trace.records[-1].lower - 1e-12
@@ -118,9 +112,9 @@ class TestBisectMicro:
         labels, probs = grouped_fixture()
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
         iterations = 50
-        clf, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=iterations))
+        loss, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=iterations))
         oracle = gamma_grid_best(labels, probs, flm)
-        preds = weighted_predict(clf, probs)
+        preds = weighted_predict(loss, probs)
         achieved = flm.evaluate(sample_confusion(labels, preds).values.mean(axis=0))
         assert achieved >= oracle - 2.0**-iterations - 1e-9
 
@@ -132,9 +126,9 @@ class TestBisectMicro:
             labels = LabelMatrix(random_labels(rng, n, 1, 2), 2)
             probs = ProbabilityField(random_prob_rows(rng, n, 1, 2))
             cfg = BisectionConfig(iterations=50, eval_mode="expected")
-            clf, trace = bisect_micro(labels, probs, flm, cfg)
+            loss, _ = bisect_micro(labels, probs, flm, cfg)
             oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
-            preds = weighted_predict(clf, probs)
+            preds = weighted_predict(loss, probs)
             achieved = flm.evaluate(expected_confusion(probs, preds).values.mean(axis=0))
             assert achieved >= oracle_u - 2.0**-50 - 1e-9
 
@@ -152,10 +146,10 @@ class TestBisectMacro:
         probs = ProbabilityField(random_prob_rows(rng, 14, 1, 2))
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
         cfg = BisectionConfig(iterations=30)
-        clf_micro, trace_micro = bisect_micro(labels, probs, flm, cfg)
-        clf_macro, traces_macro = bisect_macro(labels, probs, flm, cfg)
+        loss_micro, trace_micro = bisect_micro(labels, probs, flm, cfg)
+        loss_macro, traces_macro = bisect_macro(labels, probs, flm, cfg)
         assert len(traces_macro) == 1
-        np.testing.assert_array_equal(clf_micro.loss.values, clf_macro.loss.values)
+        np.testing.assert_array_equal(loss_micro.values, loss_macro.values)
         assert [r.gamma for r in trace_micro.records] == [
             r.gamma for r in traces_macro[0].records
         ]
@@ -168,7 +162,7 @@ class TestBisectMacro:
         probs = ProbabilityField(random_prob_rows(rng, 12, 2, 2))
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
         cfg = BisectionConfig(iterations=30)
-        clf, traces = bisect_macro(labels, probs, flm, cfg)
+        _, traces = bisect_macro(labels, probs, flm, cfg)
         for m in range(2):
             single_labels = LabelMatrix(labels.values[:, m : m + 1], 2)
             single_probs = ProbabilityField(probs.values[:, m : m + 1, :])
@@ -187,16 +181,130 @@ class TestBisectMacro:
         spec = MetricSpec.micro_f1(2)
         flm = as_fractional_linear(spec)
         cfg = BisectionConfig(iterations=40)
-        clf_macro, _ = bisect_macro(labels, probs, flm, cfg)
-        clf_micro, _ = bisect_micro(labels, probs, flm, cfg)
+        loss_macro, _ = bisect_macro(labels, probs, flm, cfg)
+        loss_micro, _ = bisect_micro(labels, probs, flm, cfg)
         avg = AveragingSpec("macro")
         macro_of_macro = macro_utility(
-            spec, sample_confusion(labels, weighted_predict(clf_macro, probs)), avg
+            spec, sample_confusion(labels, weighted_predict(loss_macro, probs)), avg
         )
         macro_of_micro = macro_utility(
-            spec, sample_confusion(labels, weighted_predict(clf_micro, probs)), avg
+            spec, sample_confusion(labels, weighted_predict(loss_micro, probs)), avg
         )
         assert macro_of_macro >= macro_of_micro - 1e-12
+
+
+class TestRatioBracket:
+    def test_micro_f1_bracket_is_the_unit_interval(self):
+        for negative_class in (1, 3):
+            flm = as_fractional_linear(MetricSpec.micro_f1(3, negative_class))
+            assert _ratio_bracket(flm) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1.0, 0.0], [0.0, 1.0]], [[1.0, -0.5], [0.5, 1.0]]),  # negative B
+            ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]),  # A != 0 where B = 0
+            ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),  # no ratio at all
+        ],
+    )
+    def test_unbracketable_metric_refused(self, rng, a, b):
+        labels = LabelMatrix(random_labels(rng, 6, 2, 2), 2)
+        probs = ProbabilityField(random_prob_rows(rng, 6, 2, 2))
+        flm = FractionalLinearMetric(np.array(a), np.array(b))
+        for search in (bisect_micro, bisect_macro):
+            with pytest.raises(GuardError, match="B >= 0"):
+                search(labels, probs, flm, BisectionConfig(iterations=5))
+
+    def test_utilities_above_one_match_exhaustive_oracle(self):
+        # A = 3I, B = [[1, 1], [1, 2]]: the ratios span [0, 3], so a search
+        # bracketed by [0, 1] cannot reach optima above 1
+        spec = MetricSpec.fractional_linear(3.0 * np.eye(2), np.array([[1.0, 1.0], [1.0, 2.0]]))
+        flm = as_fractional_linear(spec)
+        iterations = 50
+        slack = 3.0 * 2.0**-iterations + 1e-9
+        rng = np.random.default_rng(7)
+        for _ in range(90):
+            n, m_out = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+            labels = LabelMatrix(rng.integers(1, 3, size=(n, m_out)), 2)
+            probs = ProbabilityField(rng.dirichlet(np.ones(2), size=(n, m_out)))
+            cfg = BisectionConfig(iterations=iterations, eval_mode="expected")
+            loss, trace = bisect_micro(labels, probs, flm, cfg)
+            assert trace.records[0].gamma == 1.5
+            conf = expected_confusion(probs, weighted_predict(loss, probs))
+            achieved = flm.evaluate(micro_confusion(conf, np.full(m_out, 1.0 / m_out)))
+            oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
+            assert achieved >= oracle_u - slack
+
+
+def random_instance(seed, n, m_out, k):
+    """Labels, probabilities and a ratio metric with B > 0 everywhere."""
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
+    flm = FractionalLinearMetric(rng.random((k, k)), rng.random((k, k)) + 0.1)
+    return labels, probs, flm
+
+
+instances = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 4),
+)
+
+
+class TestSearchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(**instances)
+    def test_sample_mode_result_ignores_row_order(self, seed, n, m_out, k):
+        labels, probs, flm = random_instance(seed, n, m_out, k)
+        order = np.random.default_rng(seed).permutation(n)
+        shuffled_labels = LabelMatrix(labels.values[order], k)
+        shuffled_probs = ProbabilityField(probs.values[order])
+        cfg = BisectionConfig(iterations=50)
+        for search in (bisect_micro, bisect_macro):
+            loss, traces = search(labels, probs, flm, cfg)
+            shuffled_loss, shuffled_traces = search(shuffled_labels, shuffled_probs, flm, cfg)
+            np.testing.assert_array_equal(loss.values, shuffled_loss.values)
+            if search is bisect_micro:
+                traces, shuffled_traces = [traces], [shuffled_traces]
+            assert [t.to_dict() for t in traces] == [t.to_dict() for t in shuffled_traces]
+
+    @settings(max_examples=40, deadline=None)
+    @given(eval_mode=st.sampled_from(["sample", "expected"]), **instances)
+    def test_never_below_the_argmax_rule(self, eval_mode, seed, n, m_out, k):
+        labels, probs, flm = random_instance(seed, n, m_out, k)
+        cfg = BisectionConfig(iterations=50, eval_mode=eval_mode)
+        argmax_preds = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
+        if eval_mode == "sample":
+            conf = sample_confusion(labels, argmax_preds)
+        else:
+            conf = expected_confusion(probs, argmax_preds)
+
+        _, trace = bisect_micro(labels, probs, flm, cfg)
+        micro = micro_confusion(conf, np.full(m_out, 1.0 / m_out))
+        assert trace.final_utility >= flm.evaluate(micro)
+        _, traces = bisect_macro(labels, probs, flm, cfg)
+        for m, output_trace in enumerate(traces):
+            assert output_trace.final_utility >= flm.evaluate(conf.values[m])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
+    def test_bracket_holds_every_utility(self, seed, k):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=5.0, size=(k, k))
+        b = rng.random((k, k))
+        zero = rng.random((k, k)) < 0.3
+        zero[rng.integers(k), rng.integers(k)] = False  # keep one B entry positive
+        a[zero] = b[zero] = 0.0
+        flm = FractionalLinearMetric(a, b)
+        lower, upper = _ratio_bracket(flm)
+        tol = 1e-12 * max(1.0, abs(lower), abs(upper))
+        for _ in range(20):
+            conf = rng.dirichlet(np.ones(k * k)).reshape(k, k) * (rng.random((k, k)) < 0.7)
+            if np.sum(b * conf) < flm.denominator_floor_b:
+                continue
+            assert lower - tol <= flm.evaluate(conf) <= upper + tol
 
 
 class TestBruteForceOracle:

@@ -290,6 +290,21 @@ class TestPostprocess:
         assert code == 2
         assert "bisection unsupported" in capsys.readouterr().err
 
+    def test_negative_denominator_refused(self, tmp_path, rng, capsys):
+        # with a negative B entry no ratio bracket is valid, so the search refuses
+        self._write_problem(tmp_path, rng, k=2)
+        metric = {"kind": "fractional_linear", "A": [[1, 0], [0, 1]], "B": [[1, -0.5], [0.5, 1]]}
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--probs", str(tmp_path / "probs.csv"),
+                "--metric", json.dumps(metric),
+            ]
+        )
+        assert code == 3
+        assert "B >= 0" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_degenerate_grid_gives_unit_ratio(self, tmp_path):

@@ -9,26 +9,25 @@ from metricopt.confusion import (
     ProbabilityField,
     expected_confusion,
 )
-from metricopt.decision import (
-    LossTensor,
-    WeightedClassifier,
-    expected_weighted_loss,
-    weighted_predict,
-)
+from metricopt.decision import expected_weighted_loss, weighted_predict
+from metricopt.metrics import LossTensor
 
 from conftest import random_labels, random_prob_rows
 
 
-def zero_one_classifier(n_outputs, n_classes):
-    return WeightedClassifier(
-        LossTensor.shared(np.ones((n_classes, n_classes)) - np.eye(n_classes), n_outputs)
-    )
+def zero_one_loss(n_classes):
+    return LossTensor(np.ones((n_classes, n_classes)) - np.eye(n_classes))
 
 
 class TestLossTensor:
     def test_range_validated(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             LossTensor(np.full((1, 2, 2), 1.5))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 3), (1, 1, 2, 2)])
+    def test_shape_validated(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            LossTensor(np.zeros(shape))
 
     def test_document_round_trip(self, rng):
         tensor = LossTensor(rng.random((2, 3, 3)))
@@ -40,7 +39,7 @@ class TestLossTensor:
 class TestWeightedPredict:
     def test_zero_one_loss_reduces_to_argmax(self):
         probs = ProbabilityField(np.array([[[0.5, 0.3, 0.2]]]))
-        preds = weighted_predict(zero_one_classifier(1, 3), probs)
+        preds = weighted_predict(zero_one_loss(3), probs)
         assert preds.values[0, 0] == 1
 
     def test_exponential_weights_override_argmax(self):
@@ -49,7 +48,7 @@ class TestWeightedPredict:
         diag = np.exp(-gamma * np.arange(1, 3))
         loss = np.ones((2, 2)) - np.diag(diag)
         probs = ProbabilityField(np.array([[[0.4, 0.6]]]))
-        preds = weighted_predict(WeightedClassifier(LossTensor.shared(loss, 1)), probs)
+        preds = weighted_predict(LossTensor(loss), probs)
         scores = loss @ probs.values[0, 0]
         assert scores[0] == pytest.approx(1 - 0.5 * 0.4)
         assert scores[1] == pytest.approx(1 - 0.25 * 0.6)
@@ -58,13 +57,25 @@ class TestWeightedPredict:
 
     def test_uniform_tie_breaks_to_lowest_class(self):
         probs = ProbabilityField(np.full((1, 1, 4), 0.25))
-        preds = weighted_predict(zero_one_classifier(1, 4), probs)
+        preds = weighted_predict(zero_one_loss(4), probs)
         assert preds.values[0, 0] == 1
 
     def test_dimension_mismatch_rejected(self, rng):
         probs = ProbabilityField(random_prob_rows(rng, 3, 2, 3))
         with pytest.raises(ValueError, match="does not match"):
-            weighted_predict(zero_one_classifier(1, 3), probs)
+            weighted_predict(LossTensor(np.zeros((1, 3, 3))), probs)
+        with pytest.raises(ValueError, match="does not match"):
+            weighted_predict(zero_one_loss(2), probs)
+
+    def test_shared_matrix_equals_its_tiled_stack(self, rng):
+        # the K x K loss is broadcast by matmul; the bits match the tiled stack
+        for n, m_out, k in [(25000, 4, 10), (4000, 1, 10), (300, 3, 3), (20, 3, 2)]:
+            probs = ProbabilityField(random_prob_rows(rng, n, m_out, k))
+            shared = LossTensor(rng.random((k, k)))
+            tiled = LossTensor(np.tile(shared.values, (m_out, 1, 1)))
+            np.testing.assert_array_equal(
+                weighted_predict(shared, probs).values, weighted_predict(tiled, probs).values
+            )
 
     def test_output_decisions_are_slicewise(self, rng):
         # the prediction for output m depends only on slice m and eta^m
@@ -73,8 +84,8 @@ class TestWeightedPredict:
         perturbed = base.values.copy()
         perturbed[1] = rng.random((4, 4))
         perturbed[2] = rng.random((4, 4))
-        first = weighted_predict(WeightedClassifier(base), probs)
-        second = weighted_predict(WeightedClassifier(LossTensor(perturbed)), probs)
+        first = weighted_predict(base, probs)
+        second = weighted_predict(LossTensor(perturbed), probs)
         np.testing.assert_array_equal(first.values[:, 0], second.values[:, 0])
 
 
@@ -83,11 +94,11 @@ class TestAffineInvariance:
         for _ in range(100):
             loss = LossTensor(rng.random((2, 3, 3)))
             probs = ProbabilityField(random_prob_rows(rng, 10, 2, 3))
-            base = weighted_predict(WeightedClassifier(loss), probs)
+            base = weighted_predict(loss, probs)
             scale = float(rng.uniform(0.05, 0.9))
             shift = float(rng.uniform(0.0, 1.0 - scale))
             mapped = LossTensor(scale * loss.values + shift)
-            remapped = weighted_predict(WeightedClassifier(mapped), probs)
+            remapped = weighted_predict(mapped, probs)
             np.testing.assert_array_equal(base.values, remapped.values)
 
 
@@ -133,7 +144,7 @@ class TestOptimalityOnKnownProbabilities:
             probs = ProbabilityField(random_prob_rows(rng, n, 1, k))
             loss_slice = rng.random((k, k))
             loss = LossTensor(loss_slice[None, :, :])
-            clf_preds = weighted_predict(WeightedClassifier(loss), probs)
+            clf_preds = weighted_predict(loss, probs)
             best = np.inf
             for assignment in itertools.product(range(1, k + 1), repeat=n):
                 preds = PredictionMatrix(np.array(assignment)[:, None], k)

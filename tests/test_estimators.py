@@ -157,17 +157,17 @@ class TestPerformanceRatio:
     def test_zero_metric_skew_predictions_identical(self):
         # the tuned loss degenerates to the 0-1 loss, so the two rules must
         # agree sample by sample, not merely in utility
-        from metricopt.decision import LossTensor, WeightedClassifier, weighted_predict
+        from metricopt.decision import weighted_predict
         from metricopt.estimators import _prepare_ratio_cell
-        from metricopt.metrics import MetricSpec, loss_from_gradient
+        from metricopt.metrics import LossTensor, MetricSpec, loss_from_gradient
 
         cfg = SyntheticConfig(n_samples=500, n_features=4, n_classes=4, skew_c1=0.3)
         labels_test, probs_test = _prepare_ratio_cell(cfg, seed=1)
         k = labels_test.n_classes
-        argmax_loss = LossTensor.shared(np.ones((k, k)) - np.eye(k), 1)
+        argmax_loss = LossTensor(np.ones((k, k)) - np.eye(k))
         tuned = loss_from_gradient(MetricSpec.weighted_exp(k, 0.0), np.full((k, k), 1 / k**2))
-        preds_base = weighted_predict(WeightedClassifier(argmax_loss), probs_test)
-        preds_tuned = weighted_predict(WeightedClassifier(LossTensor.shared(tuned, 1)), probs_test)
+        preds_base = weighted_predict(argmax_loss, probs_test)
+        preds_tuned = weighted_predict(tuned, probs_test)
         np.testing.assert_array_equal(preds_base.values, preds_tuned.values)
 
     def test_ratio_is_deterministic(self):

@@ -15,9 +15,9 @@ from metricopt.confusion import (
     per_sample_confusion,
     sample_confusion,
 )
-from metricopt.decision import LossTensor, WeightedClassifier, weighted_predict
+from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
-from metricopt.metrics import MetricSpec, _eval_batch
+from metricopt.metrics import LossTensor, MetricSpec, _eval_batch
 
 # A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
 EPS = np.finfo(float).eps
@@ -57,7 +57,7 @@ def test_builders_match_per_cell_loops(n, m_out, k, seed):
     # so equal scores are exact ties and must go to the lowest class.
     eighths = rng.multinomial(8, np.full(k, 1.0 / k), size=(n, m_out)) / 8
     loss = LossTensor(rng.integers(0, 5, size=(m_out, k, k)) / 4)
-    got = weighted_predict(WeightedClassifier(loss), ProbabilityField(eighths)).values
+    got = weighted_predict(loss, ProbabilityField(eighths)).values
     for s in range(n):
         for m in range(m_out):
             scores = [

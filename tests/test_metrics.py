@@ -6,7 +6,7 @@ import pytest
 from metricopt.errors import GuardError
 from metricopt.metrics import (
     FractionalLinearMetric,
-    LossMatrix,
+    LossTensor,
     MetricSpec,
     as_fractional_linear,
     eval_metric,
@@ -282,4 +282,8 @@ class TestConfigDocuments:
 
     def test_loss_matrix_range_validated(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            LossMatrix(np.array([[0.0, 1.5], [0.2, 0.0]]))
+            LossTensor(np.array([[0.0, 1.5], [0.2, 0.0]]))
+
+    def test_loss_based_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="one K x K loss"):
+            MetricSpec.loss_based(np.zeros((2, 3, 3)))
