@@ -271,7 +271,7 @@ def cmd_synth(args) -> int:
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
             chunks = list(pool.map(_grid_rows_for_c1, tasks))
     else:
         chunks = [_grid_rows_for_c1(task) for task in tasks]

@@ -52,15 +52,54 @@ class MultinomialLRModel:
         return self.weights.shape[1]
 
 
-def _ce_grad(
-    weights: np.ndarray, features: np.ndarray, onehot: np.ndarray, l2: float
-) -> np.ndarray:
+class _DescentBuffers:
+    """Arrays one output's descent rewrites on every step, allocated once.
+
+    ``classes`` holds the output's 1-based training labels; ``flat`` indexes
+    each sample's true class in the flattened (N, K) probability buffer.
+    """
+
+    def __init__(self, features: np.ndarray, classes: np.ndarray, k: int):
+        n, d = features.shape
+        self.features = features
+        self.xt = np.ascontiguousarray(features.T)
+        self.flat = np.arange(n) * k + classes - 1
+        self.lt = np.empty((k, n))
+        self.p = np.empty((n, k))
+        self.row = np.empty(n)
+        self.rowsum = np.empty((n, 1))
+        self.grad = np.empty((k, d))
+        self.penalty = np.empty((k, d))
+
+
+def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray:
     """Gradient of the L2-regularized mean cross-entropy for one output.
 
-    ``weights`` is (K, D), logits are -X @ W^T.
+    ``weights`` is (K, D), logits are -X @ W^T.  Writes into ``buf`` and
+    returns ``buf.grad``.  Every operation produces the same bits as
+    ``-(softmax(-X @ W^T) - onehot).T @ X / N + l2 * W``: the logits are
+    built class-major, so the row shift ``-L - max(-L)`` becomes the exact
+    ``min(L) - L`` over the long axis.  The row sums stay numpy's own
+    reduction over the sample-major ``p``, and the gradient product takes the
+    F-ordered ``p.T``, as the plain formula does: a different summation order
+    or a C-ordered operand changes the bits.
     """
-    probs = _softmax_rows(-features @ weights.T)
-    return -(probs - onehot).T @ features / features.shape[0] + l2 * weights
+    lt, p = buf.lt, buf.p
+    np.matmul(weights, buf.xt, out=lt)
+    np.min(lt, axis=0, out=buf.row)
+    np.subtract(buf.row, lt, out=lt)
+    np.exp(lt, out=lt)
+    np.copyto(p.T, lt)
+    np.sum(p, axis=-1, keepdims=True, out=buf.rowsum)
+    np.divide(p, buf.rowsum, out=p)
+    # one N-vector temporary; np.take/np.put through buf.row avoid it but were slower
+    p.reshape(-1)[buf.flat] -= 1.0
+    grad = np.matmul(p.T, buf.features, out=buf.grad)
+    np.negative(grad, out=grad)
+    np.divide(grad, buf.features.shape[0], out=grad)
+    np.multiply(l2, weights, out=buf.penalty)
+    np.add(grad, buf.penalty, out=grad)
+    return grad
 
 
 def fit_lr(
@@ -86,9 +125,10 @@ def fit_lr(
         )
     if l2 < 0:
         raise ValueError("l2 penalty must be nonnegative")
-    n, d = features.shape
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
     m_out, k = labels.n_outputs, labels.n_classes
-    weights = np.zeros((m_out, k, d))
+    weights = np.zeros((m_out, k, features.shape[1]))
     constant: list = []
     for m in range(m_out):
         classes = np.unique(labels.values[:, m])
@@ -96,11 +136,12 @@ def fit_lr(
             constant.append(int(classes[0]))
             continue
         constant.append(None)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), labels.values[:, m] - 1] = 1.0
+        buf = _DescentBuffers(features, labels.values[:, m], k)
         w = weights[m]
         for _ in range(iterations):
-            w -= step * _ce_grad(w, features, onehot, l2)
+            grad = _ce_grad(w, buf, l2)
+            grad *= step
+            w -= grad
     return MultinomialLRModel(weights, l2, trained=True, constant_classes=tuple(constant))
 
 

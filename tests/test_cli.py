@@ -359,6 +359,31 @@ class TestSynth:
         assert main(base + ["--out", str(pooled), "--workers", "2"]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = ["synth", "--c2", "0", "--n", "60", "--seeds", "0",
+                "--features-dim", "2", "--classes", "2", "--workers", "8"]
+        assert main(args + ["--c1", "0.1", "--out", str(tmp_path / "one.csv")]) == 0
+        assert main(args + ["--c1", "0.1,0.2,0.3", "--out", str(tmp_path / "three.csv")]) == 0
+        assert requested == [1, 3]
+
 
 class TestOracle:
     def test_single_sample_predicts_truth(self, tmp_path):
@@ -430,6 +455,23 @@ class TestTrainLR:
         assert code == 0
         probs = read_probs(out)
         assert probs.values.shape == (40, 2, 3)
+
+    def test_negative_iterations_refused(self, tmp_path, rng, capsys):
+        write_features(tmp_path / "features.csv", rng.standard_normal((4, 2)))
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(np.array([[1], [2], [1], [2]]), 2))
+        out = tmp_path / "probs.csv"
+        code = main(
+            [
+                "train-lr",
+                "--features", str(tmp_path / "features.csv"),
+                "--labels", str(tmp_path / "labels.csv"),
+                "--iters", "-3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "iterations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _recorded(argv):

@@ -5,6 +5,7 @@ from metricopt.confusion import LabelMatrix
 from metricopt.estimators import (
     SyntheticConfig,
     _ce_grad,
+    _DescentBuffers,
     fit_lr,
     generate_synthetic,
     performance_ratio,
@@ -48,9 +49,8 @@ class TestFitLR:
     def test_gradient_small_at_returned_optimum(self, rng):
         features, labels = separable_blobs(rng, n_per_class=40)
         model = fit_lr(features, labels, iterations=5000, step=0.5)
-        onehot = np.zeros((80, 2))
-        onehot[np.arange(80), labels.values[:, 0] - 1] = 1.0
-        grad = _ce_grad(model.weights[0], features, onehot, model.l2_penalty)
+        buf = _DescentBuffers(features, labels.values[:, 0], 2)
+        grad = _ce_grad(model.weights[0], buf, model.l2_penalty)
         assert np.linalg.norm(grad) <= 1e-4
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
@@ -59,7 +59,7 @@ class TestFitLR:
         onehot = np.zeros((25, 3))
         onehot[np.arange(25), labels.values[:, 0] - 1] = 1.0
         weights = rng.standard_normal((3, 3)) * 0.3
-        grad = _ce_grad(weights, features, onehot, 1e-4)
+        grad = _ce_grad(weights, _DescentBuffers(features, labels.values[:, 0], 3), 1e-4)
         step = 1e-6
         flat = [(0, 0), (1, 2), (2, 1), (0, 2), (2, 2)]
         for idx in flat:
@@ -77,6 +77,12 @@ class TestFitLR:
         labels = LabelMatrix(np.array([[1], [2]]), 2)
         with pytest.raises(ValueError, match="non-finite"):
             fit_lr(features, labels)
+
+    def test_negative_iterations_rejected(self):
+        features = np.array([[1.0], [-1.0]])
+        labels = LabelMatrix(np.array([[1], [2]]), 2)
+        with pytest.raises(ValueError, match="iterations must be nonnegative"):
+            fit_lr(features, labels, iterations=-3)
 
 
 class TestPredictProba:

@@ -1,5 +1,6 @@
 """Per-cell Python loops as references for the confusion builders and the
-weighted decision rule."""
+weighted decision rule, and the plain allocating gradient step as the
+reference for the logistic-regression descent."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from metricopt.confusion import (
 )
 from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
+from metricopt.estimators import fit_lr
 from metricopt.metrics import LossTensor, MetricSpec, _eval_batch
 
 # A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
@@ -104,3 +106,63 @@ def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, uniform, seed):
                 instance_utility(spec, per)
         else:
             assert instance_utility(spec, per) == pytest.approx(reference.mean(), rel=0, abs=1e-14)
+
+
+def plain_descent(features, labels, l2=1e-4, step=0.1, iterations=500):
+    """The descent by the plain formula, with a fresh softmax, one-hot and
+    gradient on every step; ``fit_lr`` must match it bit for bit."""
+    n, k = labels.n_samples, labels.n_classes
+    weights = np.zeros((labels.n_outputs, k, features.shape[1]))
+    for m in range(labels.n_outputs):
+        if np.unique(labels.values[:, m]).size == 1:
+            continue
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), labels.values[:, m] - 1] = 1.0
+        w = weights[m]
+        for _ in range(iterations):
+            logits = -features @ w.T
+            expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs = expd / expd.sum(axis=1, keepdims=True)
+            w -= step * (-(probs - onehot).T @ features / n + l2 * w)
+    return weights
+
+
+def _laid_out(features, layout):
+    if layout == "F":
+        return np.asfortranarray(features)
+    if layout == "strided":
+        wide = np.empty((features.shape[0], 2 * features.shape[1]))
+        wide[:, ::2] = features
+        return wide[:, ::2]
+    return np.ascontiguousarray(features)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 5),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 12),
+    iterations=st.integers(1, 20),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, d=2, m_out=1, k=2, iterations=5, layout="C", seed=0)
+def test_descent_matches_plain_step_bit_for_bit(n, d, m_out, k, iterations, layout, seed):
+    rng = np.random.default_rng(seed)
+    features = _laid_out(rng.standard_normal((n, d)) * 2.0, layout)
+    values = rng.integers(1, k + 1, size=(n, m_out))
+    if m_out > 1:
+        values[:, -1] = values[0, -1]  # one output with a single training class
+    labels = LabelMatrix(values, k)
+    model = fit_lr(features, labels, iterations=iterations)
+    assert np.array_equal(model.weights, plain_descent(features, labels, iterations=iterations))
+
+
+def test_descent_matches_plain_step_at_benchmark_shape():
+    # the fit-tune workload's fit: N=4000 rows, D=10, M=2 outputs, K=10
+    rng = np.random.default_rng(7)
+    features = rng.standard_normal((4000, 10))
+    labels = LabelMatrix(rng.integers(1, 11, size=(4000, 2)), 10)
+    model = fit_lr(features, labels, iterations=500)
+    assert np.array_equal(model.weights, plain_descent(features, labels, iterations=500))
