@@ -26,7 +26,6 @@ from .estimators import (
     SyntheticConfig,
     fit_lr,
     generate_synthetic,
-    performance_ratio,
     performance_ratio_grid,
     predict_proba,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "micro_confusion",
     "micro_utility",
     "per_sample_confusion",
-    "performance_ratio",
     "performance_ratio_grid",
     "predict_proba",
     "sample_confusion",

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,18 +57,7 @@ class RunReport:
     wall_clock_s: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "utilities": self.utilities,
-            "confusion": self.confusion,
-            "loss": self.loss,
-            "trace": self.trace,
-            "predictions": self.predictions,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -95,6 +84,23 @@ def _load_metric_config(arg: str) -> dict:
             return json.load(handle)
     # bare kind shorthand, e.g. --metric ordinal
     return {"kind": text}
+
+
+def _aligned_labels(
+    labels: LabelMatrix, labels_path: str, path: str, n_rows: int, n_classes: int | None = None
+) -> LabelMatrix:
+    """Refuse an input file whose row count differs from the labels'.
+
+    Given a probability file's class count, also refuse one below the labels'
+    and return the labels bound to it; otherwise return ``labels`` unchanged.
+    """
+    if n_rows != labels.n_samples:
+        raise ValueError(f"{path} has {n_rows} rows but {labels_path} has {labels.n_samples}")
+    if n_classes is None:
+        return labels
+    if n_classes < labels.n_classes:
+        raise ValueError(f"probability file K={n_classes} below labels K={labels.n_classes}")
+    return LabelMatrix(labels.values, n_classes)
 
 
 def _utilities_for(
@@ -175,14 +181,11 @@ def cmd_postprocess(args) -> int:
     labels = read_labels(args.labels)
     if args.probs:
         probs = read_probs(args.probs)
-        if probs.n_classes < labels.n_classes:
-            raise ValueError(
-                f"probability file K={probs.n_classes} below labels K={labels.n_classes}"
-            )
-        labels = LabelMatrix(labels.values, probs.n_classes)
+        labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
         labels_eval, probs_eval, probs_full = labels, probs, probs
     elif args.features:
         features = read_features(args.features)
+        _aligned_labels(labels, args.labels, args.features, features.shape[0])
         fit_idx, eval_idx = _split_indices(labels.n_samples, seed)
         model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes))
         probs_full = predict_proba(model, features)
@@ -292,11 +295,7 @@ def cmd_oracle(args) -> int:
     probs = None
     if args.probs:
         probs = read_probs(args.probs)
-        if probs.n_classes < labels.n_classes:
-            raise ValueError(
-                f"probability file K={probs.n_classes} below labels K={labels.n_classes}"
-            )
-        labels = LabelMatrix(labels.values, probs.n_classes)
+        labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
     config = _load_metric_config(args.metric)
     spec = metric_from_config(config, labels.n_classes)
     utility, preds = brute_force_oracle(labels, probs, spec, AveragingSpec(args.averaging))

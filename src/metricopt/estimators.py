@@ -39,17 +39,7 @@ class MultinomialLRModel:
     """
 
     weights: np.ndarray
-    l2_penalty: float
-    trained: bool = False
     constant_classes: tuple = ()
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[1]
 
 
 class _DescentBuffers:
@@ -142,13 +132,11 @@ def fit_lr(
             grad = _ce_grad(w, buf, l2)
             grad *= step
             w -= grad
-    return MultinomialLRModel(weights, l2, trained=True, constant_classes=tuple(constant))
+    return MultinomialLRModel(weights, tuple(constant))
 
 
 def predict_proba(model: MultinomialLRModel, features: np.ndarray) -> ProbabilityField:
     """Class probabilities softmax(-W x) per output, rows exactly on the simplex."""
-    if not model.trained:
-        raise ValueError("model is not trained")
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[1] != model.weights.shape[2]:
         raise ValueError(
@@ -166,14 +154,12 @@ def predict_proba(model: MultinomialLRModel, features: np.ndarray) -> Probabilit
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Generator settings: skew_c1 shapes the conditionals, metric_skew_c2 the
-    diagonal metric used by the performance-ratio experiment."""
+    """Generator settings; skew_c1 shapes the conditionals."""
 
     n_samples: int
     n_features: int = 10
     n_classes: int = 10
     skew_c1: float = 0.0
-    metric_skew_c2: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -213,7 +199,7 @@ def _derived_seed(seq: np.random.SeedSequence) -> int:
 
 def _prepare_ratio_cell(cfg: SyntheticConfig, seed: int) -> tuple[LabelMatrix, ProbabilityField]:
     """Generate data, split 80/20, fit, and return test labels with estimated
-    probabilities.  Independent of ``cfg.metric_skew_c2``."""
+    probabilities.  Independent of the metric the cell is scored under."""
     gen_seq, split_seq = np.random.SeedSequence(entropy=(cfg.seed, seed)).spawn(2)
     features, labels, _ = generate_synthetic(replace(cfg, seed=_derived_seed(gen_seq)))
     n = cfg.n_samples
@@ -245,13 +231,6 @@ def _ratio_from_cell(
     return utility_base, utility_tuned, utility_tuned / utility_base
 
 
-def performance_ratio(cfg: SyntheticConfig, seed: int) -> float:
-    """Test-utility ratio of the metric-tuned rule over the argmax rule."""
-    labels_test, probs_test = _prepare_ratio_cell(cfg, seed)
-    _, _, ratio = _ratio_from_cell(labels_test, probs_test, cfg.metric_skew_c2)
-    return ratio
-
-
 def performance_ratio_grid(
     c1_values,
     c2_values,
@@ -262,9 +241,9 @@ def performance_ratio_grid(
 ) -> list[dict]:
     """One row per (c1, c2, seed) grid cell, in grid order.
 
-    The generated data and the fitted model depend only on (c1, seed), so
-    each such pair is prepared once and reused across the c2 values; the
-    per-cell numbers match single ``performance_ratio`` calls exactly.
+    ``pr`` is the test-utility ratio of the metric-tuned rule over the argmax
+    rule.  The generated data and the fitted model depend only on (c1, seed),
+    so each such pair is prepared once and reused across the c2 values.
     """
     rows = []
     for c1 in c1_values:

@@ -17,9 +17,12 @@ loss_based          1 - <L, C>                                        linear
 
 Class g is the designated negative class of micro-F1 (default 1).  The
 linear and fractional kinds admit an exact (A, B) representation with
-value <A, C>/<B, C>; linear kinds take B = all-ones because confusions
-carry unit mass.  Their values and gradients are computed from that form
-alone, so the micro_f1 and loss_based expressions above hold on unit mass.
+value <A, C>/<B, C>; linear kinds take B = all-ones and value <A, C>, which
+equals the ratio on unit mass.  Each such MetricSpec is built with its
+FractionalLinearMetric, and ``FractionalLinearMetric.evaluate_batch`` is the
+one place that computes a ratio: the bisection's candidate scores, every
+averaged utility and the gradients all go through it.  The micro_f1 and
+loss_based expressions above hold on unit mass.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ _KINDS = (
     "fractional_linear",
     "loss_based",
 )
-_FRACTIONAL_KINDS = ("ordinal", "micro_f1", "weighted_exp", "fractional_linear", "loss_based")
 _DIFFERENTIABLE_KINDS = tuple(k for k in _KINDS if k != "min_max")
 
 
@@ -54,13 +56,15 @@ _DIFFERENTIABLE_KINDS = tuple(k for k in _KINDS if k != "min_max")
 class FractionalLinearMetric:
     """Explicit ratio-of-linear representation psi(C) = <A, C> / <B, C>.
 
-    The denominator must stay at or above ``denominator_floor_b`` on every
-    confusion evaluated; falling below it is a hard error.
+    A linear metric (B all-ones) takes the value <A, C>, which scales with
+    the mass of C.  Otherwise the denominator must stay at or above
+    ``DENOMINATOR_FLOOR``: ``evaluate_batch`` marks confusions below it with
+    NaN and ``evaluate`` raises GuardError on them.  Two representations are
+    equal when their matrices are.
     """
 
     numerator_A: np.ndarray
     denominator_B: np.ndarray
-    denominator_floor_b: float = DENOMINATOR_FLOOR
 
     def __post_init__(self):
         a = np.asarray(self.numerator_A, dtype=float)
@@ -71,10 +75,18 @@ class FractionalLinearMetric:
             raise ValueError(f"numerator shape {a.shape} != denominator shape {b.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("fractional-linear matrices must be finite")
-        if not self.denominator_floor_b > 0:
-            raise ValueError("denominator floor must be positive")
         object.__setattr__(self, "numerator_A", _readonly(a))
         object.__setattr__(self, "denominator_B", _readonly(b))
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionalLinearMetric):
+            return NotImplemented
+        return np.array_equal(self.numerator_A, other.numerator_A) and np.array_equal(
+            self.denominator_B, other.denominator_B
+        )
+
+    def __hash__(self):
+        return hash((tuple(self.numerator_A.ravel()), tuple(self.denominator_B.ravel())))
 
     @property
     def n_classes(self) -> int:
@@ -82,18 +94,28 @@ class FractionalLinearMetric:
 
     @property
     def is_linear(self) -> bool:
-        """True when B is all-ones, so the ratio reduces to <A, C> on unit mass."""
+        """True when B is all-ones, so the ratio reduces to <A, C>."""
         return bool(np.all(self.denominator_B == 1.0))
 
+    def evaluate_batch(self, confs: np.ndarray) -> np.ndarray:
+        """The metric over stacked confusions of shape (..., K, K), NaN where
+        the denominator falls below the floor.  No input validation."""
+        confs = np.asarray(confs, dtype=float)
+        num = np.einsum("...ij,ij->...", confs, self.numerator_A)
+        if self.is_linear:
+            return num
+        den = np.einsum("...ij,ij->...", confs, self.denominator_B)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den >= DENOMINATOR_FLOOR, num / den, np.nan)
+
     def evaluate(self, conf: np.ndarray) -> float:
-        conf = np.asarray(conf, dtype=float)
-        den = float(np.sum(self.denominator_B * conf))
-        if den < self.denominator_floor_b:
+        value = float(self.evaluate_batch(conf))
+        if np.isnan(value):
+            den = float(np.sum(self.denominator_B * np.asarray(conf, dtype=float)))
             raise GuardError(
-                f"degenerate denominator: <B, C> = {den:.3e} below floor "
-                f"{self.denominator_floor_b:.1e}"
+                f"degenerate denominator: <B, C> = {den:.3e} below floor {DENOMINATOR_FLOOR:.1e}"
             )
-        return float(np.sum(self.numerator_A * conf)) / den
+        return value
 
 
 @dataclass(frozen=True)
@@ -129,16 +151,15 @@ class MetricSpec:
     """A metric kind plus its parameters, bound to a class count K.
 
     Build instances through the classmethod constructors; they validate the
-    parameters each kind needs.
+    parameters each kind needs.  The ratio-of-linear kinds carry their exact
+    (A, B) form in ``ratio``, which every value and gradient of theirs is
+    computed from; the other kinds leave it None.
     """
 
     kind: str
     n_classes: int
     gamma: float | None = None
-    negative_class: int = 1
-    numerator: np.ndarray | None = field(default=None, repr=False)
-    denominator: np.ndarray | None = field(default=None, repr=False)
-    loss: np.ndarray | None = field(default=None, repr=False)
+    ratio: FractionalLinearMetric | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -147,14 +168,28 @@ class MetricSpec:
             raise ValueError("metrics require at least 2 classes")
 
     @classmethod
+    def _linear(cls, kind: str, numerator: np.ndarray, gamma: float | None = None) -> "MetricSpec":
+        k = numerator.shape[0]
+        return cls(kind, k, gamma, FractionalLinearMetric(numerator, np.ones((k, k))))
+
+    @classmethod
     def ordinal(cls, n_classes: int) -> "MetricSpec":
-        return cls("ordinal", n_classes)
+        idx = np.arange(1, n_classes + 1, dtype=float)
+        # max() only spares K = 1 a division by zero; __post_init__ refuses K = 1
+        distance = np.abs(idx[:, None] - idx[None, :]) / max(n_classes - 1, 1)
+        return cls._linear("ordinal", 1.0 - distance)
 
     @classmethod
     def micro_f1(cls, n_classes: int, negative_class: int = 1) -> "MetricSpec":
         if not 1 <= negative_class <= n_classes:
             raise ValueError(f"negative class {negative_class} outside [1, {n_classes}]")
-        return cls("micro_f1", n_classes, negative_class=negative_class)
+        g = negative_class - 1
+        numer = 2.0 * np.eye(n_classes)
+        numer[g, g] = 0.0
+        denom = np.full((n_classes, n_classes), 2.0)
+        denom[g, :] -= 1.0
+        denom[:, g] -= 1.0
+        return cls("micro_f1", n_classes, ratio=FractionalLinearMetric(numer, denom))
 
     @classmethod
     def macro_f1(cls, n_classes: int) -> "MetricSpec":
@@ -164,7 +199,9 @@ class MetricSpec:
     def weighted_exp(cls, n_classes: int, gamma: float) -> "MetricSpec":
         if not np.isfinite(gamma):
             raise ValueError("gamma must be finite")
-        return cls("weighted_exp", n_classes, gamma=float(gamma))
+        gamma = float(gamma)
+        weights = np.exp(-gamma * np.arange(1, n_classes + 1, dtype=float))
+        return cls._linear("weighted_exp", np.diag(weights), gamma)
 
     @classmethod
     def min_max(cls, n_classes: int) -> "MetricSpec":
@@ -179,28 +216,14 @@ class MetricSpec:
     @classmethod
     def fractional_linear(cls, numerator, denominator) -> "MetricSpec":
         flm = FractionalLinearMetric(numerator, denominator)
-        return cls(
-            "fractional_linear",
-            flm.n_classes,
-            numerator=flm.numerator_A,
-            denominator=flm.denominator_B,
-        )
+        return cls("fractional_linear", flm.n_classes, ratio=flm)
 
     @classmethod
     def loss_based(cls, loss) -> "MetricSpec":
         loss = LossTensor(loss)
         if loss.values.ndim != 2:
             raise ValueError(f"loss_based needs one K x K loss, got shape {loss.values.shape}")
-        return cls("loss_based", loss.n_classes, loss=loss.values)
-
-
-def _ordinal_weights(n_classes: int) -> np.ndarray:
-    idx = np.arange(1, n_classes + 1, dtype=float)
-    return 1.0 - np.abs(idx[:, None] - idx[None, :]) / (n_classes - 1)
-
-
-def _exp_class_weights(n_classes: int, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * np.arange(1, n_classes + 1, dtype=float))
+        return cls._linear("loss_based", 1.0 - loss.values)
 
 
 def _eval_batch(spec: MetricSpec, confs: np.ndarray) -> np.ndarray:
@@ -209,16 +232,10 @@ def _eval_batch(spec: MetricSpec, confs: np.ndarray) -> np.ndarray:
     No input validation; degenerate fractional denominators yield NaN instead
     of raising so batch callers (the brute-force oracle) can skip them.
     """
+    if spec.ratio is not None:
+        return spec.ratio.evaluate_batch(confs)
     confs = np.asarray(confs, dtype=float)
     kind = spec.kind
-    if kind in _FRACTIONAL_KINDS:
-        flm = as_fractional_linear(spec)
-        num = np.einsum("...ij,ij->...", confs, flm.numerator_A)
-        if flm.is_linear:
-            return num
-        den = np.einsum("...ij,ij->...", confs, flm.denominator_B)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den >= flm.denominator_floor_b, num / den, np.nan)
     if kind == "macro_f1":
         diag = np.einsum("...ii->...i", confs)
         den = confs.sum(axis=-1) + confs.sum(axis=-2)
@@ -279,15 +296,15 @@ def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
     if spec.kind not in _DIFFERENTIABLE_KINDS:
         raise ValueError(f"gradient unavailable for {spec.kind}")
     conf = _validate_confusion(spec, conf, check_mass=False)
-    if spec.kind in _FRACTIONAL_KINDS:
-        flm = as_fractional_linear(spec)
+    flm = spec.ratio
+    if flm is not None:
         if flm.is_linear:
             return np.array(flm.numerator_A)
+        value = float(flm.evaluate_batch(conf))
         den = float(np.sum(flm.denominator_B * conf))
-        if den < flm.denominator_floor_b:
+        if np.isnan(value):
             raise GuardError(f"degenerate denominator: <B, C> = {den:.3e}")
-        num = float(np.sum(flm.numerator_A * conf))
-        return flm.numerator_A / den - (num / den**2) * flm.denominator_B
+        return (flm.numerator_A - value * flm.denominator_B) / den
     if spec.kind == "polynomial":
         diag = np.diagonal(conf)
         return np.diag(-spec.gamma * (1.0 - diag) ** (spec.gamma - 1.0))
@@ -304,30 +321,14 @@ def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
 
 
 def as_fractional_linear(spec: MetricSpec) -> FractionalLinearMetric:
-    """Exact (A, B) representation with psi(C) = <A, C>/<B, C>.
+    """The spec's exact (A, B) representation, psi(C) = <A, C>/<B, C>.
 
-    Linear kinds return B = all-ones.  macro_f1, min_max, and polynomial have
+    Linear kinds have B = all-ones.  macro_f1, min_max, and polynomial have
     no global fractional-linear form and are rejected.
     """
-    k = spec.n_classes
-    ones = np.ones((k, k))
-    if spec.kind == "ordinal":
-        return FractionalLinearMetric(_ordinal_weights(k), ones)
-    if spec.kind == "weighted_exp":
-        return FractionalLinearMetric(np.diag(_exp_class_weights(k, spec.gamma)), ones)
-    if spec.kind == "loss_based":
-        return FractionalLinearMetric(ones - spec.loss, ones)
-    if spec.kind == "micro_f1":
-        g = spec.negative_class - 1
-        numer = 2.0 * np.eye(k)
-        numer[g, g] = 0.0
-        denom = np.full((k, k), 2.0)
-        denom[g, :] -= 1.0
-        denom[:, g] -= 1.0
-        return FractionalLinearMetric(numer, denom)
-    if spec.kind == "fractional_linear":
-        return FractionalLinearMetric(spec.numerator, spec.denominator)
-    raise ValueError(f"not fractional-linear: {spec.kind}")
+    if spec.ratio is None:
+        raise ValueError(f"not fractional-linear: {spec.kind}")
+    return spec.ratio
 
 
 def _rescale_unit(raw: np.ndarray) -> LossTensor:

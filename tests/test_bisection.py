@@ -22,6 +22,7 @@ from metricopt.confusion import (
 from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
 from metricopt.metrics import (
+    DENOMINATOR_FLOOR,
     FractionalLinearMetric,
     LossTensor,
     MetricSpec,
@@ -302,7 +303,7 @@ class TestSearchProperties:
         tol = 1e-12 * max(1.0, abs(lower), abs(upper))
         for _ in range(20):
             conf = rng.dirichlet(np.ones(k * k)).reshape(k, k) * (rng.random((k, k)) < 0.7)
-            if np.sum(b * conf) < flm.denominator_floor_b:
+            if np.sum(b * conf) < DENOMINATOR_FLOOR:
                 continue
             assert lower - tol <= flm.evaluate(conf) <= upper + tol
 

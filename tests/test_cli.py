@@ -15,7 +15,7 @@ from metricopt.fileio import (
     write_probs,
 )
 
-from metricopt.metrics import MetricSpec
+from metricopt.metrics import MetricSpec, eval_metric
 
 from conftest import random_labels, random_prob_rows
 
@@ -305,6 +305,80 @@ class TestPostprocess:
         assert code == 3
         assert "B >= 0" in capsys.readouterr().err
 
+    def _write_skewed_problem(self, tmp_path, seed, n=200, m=4, k=10):
+        """Peaked softmax probabilities and labels drawn from them."""
+        rng = np.random.default_rng([seed, 1])
+        logits = 2.0 * rng.standard_normal((n, m, k))
+        expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = expd / expd.sum(axis=-1, keepdims=True)
+        draws = rng.random((n, m))[..., None]
+        labels = np.minimum((draws >= np.cumsum(probs, axis=-1)).sum(axis=-1), k - 1) + 1
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(labels, k))
+        write_probs(tmp_path / "probs.csv", ProbabilityField(probs))
+
+    def _tuned_report(self, tmp_path, averaging):
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--probs", str(tmp_path / "probs.csv"),
+                "--metric", "micro_f1",
+                "--averaging", averaging,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        return RunReport.from_json(out.read_text())
+
+    def test_micro_search_utility_is_the_reported_utility(self, tmp_path):
+        # the search and the report score the same predictions on the same rows
+        self._write_skewed_problem(tmp_path, seed=0)
+        report = self._tuned_report(tmp_path, "micro")
+        assert report.trace["final_utility"] == report.utilities["micro"]
+
+    def test_macro_search_utilities_are_the_per_output_utilities(self, tmp_path):
+        self._write_skewed_problem(tmp_path, seed=0)
+        report = self._tuned_report(tmp_path, "macro")
+        spec = MetricSpec.micro_f1(10)
+        for trace, conf in zip(report.trace, report.confusion):
+            assert trace["final_utility"] == eval_metric(spec, np.array(conf))
+
+    def _refuses_row_mismatch(self, tmp_path, capsys, source, n_rows, metric="micro_f1"):
+        labels_path = tmp_path / "labels.csv"
+        write_predictions(labels_path, LabelMatrix(np.arange(40)[:, None] % 3 + 1, 3))
+        rng = np.random.default_rng(3)
+        if source == "features":
+            path = tmp_path / "features.csv"
+            write_features(path, rng.standard_normal((n_rows, 2)))
+        else:
+            path = tmp_path / "probs.csv"
+            write_probs(path, ProbabilityField(random_prob_rows(rng, n_rows, 1, 3)))
+        preds_path = tmp_path / "final.csv"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(labels_path),
+                f"--{source}", str(path),
+                "--metric", metric,
+                "--iters", "5",
+                "--preds", str(preds_path),
+            ]
+        )
+        assert code == 2
+        assert not preds_path.exists()
+        err = capsys.readouterr().err
+        assert f"{path} has {n_rows} rows but {labels_path} has 40" in err
+
+    def test_fewer_feature_rows_than_labels_refused(self, tmp_path, capsys):
+        self._refuses_row_mismatch(tmp_path, capsys, "features", 30)
+
+    def test_more_feature_rows_than_labels_refused(self, tmp_path, capsys):
+        self._refuses_row_mismatch(tmp_path, capsys, "features", 51)
+
+    def test_probability_row_mismatch_refused_for_linear_metric(self, tmp_path, capsys):
+        self._refuses_row_mismatch(tmp_path, capsys, "probs", 45, metric="ordinal")
+
 
 class TestSynth:
     def test_degenerate_grid_gives_unit_ratio(self, tmp_path):
@@ -417,7 +491,7 @@ class TestOracle:
         assert code == 0
         from metricopt.averaging import AveragingSpec
         from metricopt.bisection import brute_force_oracle
-        from metricopt.metrics import MetricSpec
+        from metricopt.metrics import MetricSpec, eval_metric
 
         expected, _ = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), AveragingSpec("micro"))
         report = RunReport.from_json(out.read_text())

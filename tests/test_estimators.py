@@ -8,7 +8,6 @@ from metricopt.estimators import (
     _DescentBuffers,
     fit_lr,
     generate_synthetic,
-    performance_ratio,
     performance_ratio_grid,
     predict_proba,
     synthetic_weights,
@@ -50,7 +49,7 @@ class TestFitLR:
         features, labels = separable_blobs(rng, n_per_class=40)
         model = fit_lr(features, labels, iterations=5000, step=0.5)
         buf = _DescentBuffers(features, labels.values[:, 0], 2)
-        grad = _ce_grad(model.weights[0], buf, model.l2_penalty)
+        grad = _ce_grad(model.weights[0], buf, 1e-4)  # fit_lr's default l2
         assert np.linalg.norm(grad) <= 1e-4
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
@@ -98,7 +97,7 @@ class TestPredictProba:
 
         weights = np.zeros((1, 3, 1))
         weights[0, :, 0] = [-10.0, 0.0, 10.0]  # negated logits: class 1 dominates at x=1
-        model = MultinomialLRModel(weights, 0.0, trained=True, constant_classes=(None,))
+        model = MultinomialLRModel(weights, constant_classes=(None,))
         probs = predict_proba(model, np.array([[1.0]]))
         assert probs.values[0, 0, 0] >= 0.99
 
@@ -106,16 +105,9 @@ class TestPredictProba:
         from metricopt.estimators import MultinomialLRModel
 
         weights = rng.standard_normal((2, 4, 3))
-        model = MultinomialLRModel(weights, 0.0, trained=True, constant_classes=(None, None))
+        model = MultinomialLRModel(weights, constant_classes=(None, None))
         probs = predict_proba(model, rng.standard_normal((50, 3)))
         np.testing.assert_allclose(probs.values.sum(axis=2), 1.0, atol=1e-12)
-
-    def test_untrained_model_rejected(self, rng):
-        from metricopt.estimators import MultinomialLRModel
-
-        model = MultinomialLRModel(np.zeros((1, 2, 2)), 0.0, trained=False)
-        with pytest.raises(ValueError, match="not trained"):
-            predict_proba(model, rng.standard_normal((3, 2)))
 
 
 class TestGenerateSynthetic:
@@ -157,8 +149,8 @@ class TestGenerateSynthetic:
 
 class TestPerformanceRatio:
     def test_zero_metric_skew_is_exactly_one(self):
-        cfg = SyntheticConfig(n_samples=500, n_features=4, n_classes=4, skew_c1=0.3)
-        assert performance_ratio(cfg, seed=1) == 1.0
+        [row] = performance_ratio_grid([0.3], [0.0], 500, [1], n_features=4, n_classes=4)
+        assert row["pr"] == 1.0
 
     def test_zero_metric_skew_predictions_identical(self):
         # the tuned loss degenerates to the 0-1 loss, so the two rules must
@@ -177,29 +169,12 @@ class TestPerformanceRatio:
         np.testing.assert_array_equal(preds_base.values, preds_tuned.values)
 
     def test_ratio_is_deterministic(self):
-        cfg = SyntheticConfig(
-            n_samples=400, n_features=4, n_classes=4, skew_c1=0.1, metric_skew_c2=1.0
-        )
-        assert performance_ratio(cfg, seed=2) == performance_ratio(cfg, seed=2)
+        def grid():
+            return performance_ratio_grid([0.1], [1.0], 400, [2], n_features=4, n_classes=4)
 
-    def test_grid_matches_single_calls(self):
-        rows = performance_ratio_grid(
-            [0.1], [0.0, 1.0], 400, [2, 3], n_features=4, n_classes=4
-        )
-        assert len(rows) == 4
-        for row in rows:
-            cfg = SyntheticConfig(
-                n_samples=400,
-                n_features=4,
-                n_classes=4,
-                skew_c1=row["c1"],
-                metric_skew_c2=row["c2"],
-            )
-            assert performance_ratio(cfg, row["seed"]) == row["pr"]
+        assert grid() == grid()
 
     def test_tuned_rule_not_worse_at_moderate_skew(self):
-        cfg = SyntheticConfig(
-            n_samples=2000, n_features=5, n_classes=5, skew_c1=0.1, metric_skew_c2=1.0
-        )
-        ratios = [performance_ratio(cfg, seed) for seed in range(5)]
+        rows = performance_ratio_grid([0.1], [1.0], 2000, range(5), n_features=5, n_classes=5)
+        ratios = [row["pr"] for row in rows]
         assert np.median(ratios) >= 1.0 - 0.02

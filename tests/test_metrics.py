@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricopt.errors import GuardError
 from metricopt.metrics import (
@@ -182,10 +184,78 @@ class TestFractionalLinear:
         with pytest.raises(ValueError, match="not fractional-linear"):
             as_fractional_linear(spec)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 10),
+        kind=st.sampled_from(
+            ["ordinal", "micro_f1", "weighted_exp", "fractional_linear", "loss_based"]
+        ),
+    )
+    def test_scalar_route_is_the_averaging_route_bit_for_bit(self, seed, k, kind):
+        # the search scores candidates with evaluate, the report with eval_metric
+        rng = np.random.default_rng(seed)
+        spec = {
+            "ordinal": lambda: MetricSpec.ordinal(k),
+            "micro_f1": lambda: MetricSpec.micro_f1(k, int(rng.integers(1, k + 1))),
+            "weighted_exp": lambda: MetricSpec.weighted_exp(k, rng.uniform(-2.0, 2.0)),
+            "fractional_linear": lambda: MetricSpec.fractional_linear(
+                rng.random((k, k)), rng.random((k, k)) + 0.1
+            ),
+            "loss_based": lambda: MetricSpec.loss_based(rng.random((k, k))),
+        }[kind]()
+        flm = as_fractional_linear(spec)
+        for _ in range(10):
+            # micro sums of unit-mass slices need not carry unit mass
+            conf = random_confusion(rng, k) * rng.uniform(0.5, 2.0)
+            try:
+                expected = eval_metric(spec, conf, check_mass=False)
+            except GuardError:
+                with pytest.raises(GuardError):
+                    flm.evaluate(conf)
+                continue
+            assert flm.evaluate(conf) == expected
+
     def test_denominator_floor_enforced(self):
         flm = FractionalLinearMetric(np.eye(2), np.zeros((2, 2)))
         with pytest.raises(GuardError, match="degenerate denominator"):
             flm.evaluate(np.full((2, 2), 0.25))
+
+
+class TestSpecEquality:
+    def test_kinds_without_matrices_compare_by_parameters(self):
+        same = [
+            (MetricSpec.ordinal(3), MetricSpec.ordinal(3)),
+            (MetricSpec.micro_f1(3, 2), MetricSpec.micro_f1(3, 2)),
+            (MetricSpec.macro_f1(3), MetricSpec.macro_f1(3)),
+            (MetricSpec.weighted_exp(3, 0.5), MetricSpec.weighted_exp(3, 0.5)),
+            (MetricSpec.min_max(4), MetricSpec.min_max(4)),
+            (MetricSpec.polynomial(3, 2.0), MetricSpec.polynomial(3, 2.0)),
+        ]
+        for first, second in same:
+            assert first == second
+            assert hash(first) == hash(second)
+        different = [
+            (MetricSpec.ordinal(3), MetricSpec.ordinal(4)),
+            (MetricSpec.micro_f1(3, 1), MetricSpec.micro_f1(3, 2)),
+            (MetricSpec.macro_f1(3), MetricSpec.min_max(3)),
+            (MetricSpec.weighted_exp(3, 0.5), MetricSpec.weighted_exp(3, 0.7)),
+            (MetricSpec.polynomial(3, 2.0), MetricSpec.polynomial(3, 3.0)),
+        ]
+        for first, second in different:
+            assert first != second
+
+    def test_different_matrices_never_compare_equal(self):
+        a = np.array([[0.0, 0.0], [0.0, 2.0]])
+        b = np.array([[0.0, 1.0], [1.0, 2.0]])
+        spec = MetricSpec.fractional_linear(a, b)
+        assert spec == MetricSpec.fractional_linear(a.copy(), b.copy())
+        assert hash(spec) == hash(MetricSpec.fractional_linear(a.copy(), b.copy()))
+        assert spec != MetricSpec.fractional_linear(a, b + 1.0)
+        assert spec != MetricSpec.fractional_linear(a + 1.0, b)
+        loss = np.array([[0.0, 1.0], [0.5, 0.0]])
+        assert MetricSpec.loss_based(loss) == MetricSpec.loss_based(loss.copy())
+        assert MetricSpec.loss_based(loss) != MetricSpec.loss_based(loss.T)
 
 
 class TestMonotonicity:
