@@ -9,12 +9,17 @@ B = 0, every utility is a weighted mean of those ratios.  Metrics outside
 that class are refused with GuardError.  Halving the bracket on the test
 pins the optimal utility to within 2^-T times the initial width after T
 iterations.  Micro averaging shares one loss matrix across all outputs;
-macro averaging runs one independent search per output.
+macro averaging runs the micro search once per output, on that output alone.
 
 Candidates can be scored on the sample confusion of the evaluation labels
 (``eval_mode="sample"``, the estimation setting) or on the expected confusion
 under the supplied probabilities (``eval_mode="expected"``, exact when those
 probabilities are the true conditionals).
+
+``brute_force_oracle`` is the exhaustive reference: it scores every
+deterministic prediction matrix, a chunk at a time, with the confusion kernel
+and the averaging arithmetic that ``eval`` applies to one of them, so its
+utility equals the evaluated utility of its predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .confusion import (
     LabelMatrix,
     PredictionMatrix,
     ProbabilityField,
+    _joint_counts,
     expected_confusion,
     sample_confusion,
 )
@@ -37,7 +43,8 @@ from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, _eval_batch
 
 # brute_force_oracle refuses instances with more deterministic assignments.
 MAX_ENUMERATION = 1_000_000
-_CHUNK = 65536
+# assignments scored per batch; larger chunks raise peak memory, not speed
+_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -102,45 +109,6 @@ def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
-def _bisect_single(
-    labels: LabelMatrix,
-    probs: ProbabilityField,
-    flm: FractionalLinearMetric,
-    cfg: BisectionConfig,
-    weights: np.ndarray,
-) -> tuple[LossTensor, float, list[IterationRecord]]:
-    k = flm.n_classes
-    lower, upper = _ratio_bracket(flm)
-
-    def utility_of(loss: LossTensor) -> float:
-        preds = weighted_predict(loss, probs)
-        if cfg.eval_mode == "sample":
-            conf = sample_confusion(labels, preds)
-        else:
-            conf = expected_confusion(probs, preds)
-        return flm.evaluate(micro_confusion(conf, weights))
-
-    # Start from the argmax rule (0-1 loss) so the search never returns
-    # anything worse than the plain plug-in baseline.
-    best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
-    best_utility = utility_of(best_loss)
-
-    records: list[IterationRecord] = []
-    for _ in range(cfg.iterations):
-        gamma = 0.5 * (lower + upper)
-        cand_loss = loss_from_gamma(flm, gamma)
-        cand_utility = utility_of(cand_loss)
-        accepted = cand_utility >= gamma  # exact equality counts as success
-        if accepted:
-            lower = gamma
-            if cand_utility >= best_utility:
-                best_loss, best_utility = cand_loss, cand_utility
-        else:
-            upper = gamma
-        records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
-    return best_loss, best_utility, records
-
-
 def _check_bisect_inputs(
     labels: LabelMatrix, probs_hat: ProbabilityField, flm: FractionalLinearMetric
 ) -> None:
@@ -170,11 +138,37 @@ def bisect_micro(
     """
     _check_bisect_inputs(labels, probs_hat, flm)
     m_out, k = labels.n_outputs, flm.n_classes
-    loss, utility, records = _bisect_single(
-        labels, probs_hat, flm, cfg, np.full(m_out, 1.0 / m_out)
-    )
-    tiled = LossTensor(np.broadcast_to(loss.values, (m_out, k, k)))
-    return tiled, BisectionTrace(records, loss.values, utility)
+    weights = np.full(m_out, 1.0 / m_out)
+    lower, upper = _ratio_bracket(flm)
+
+    def utility_of(loss: LossTensor) -> float:
+        preds = weighted_predict(loss, probs_hat)
+        if cfg.eval_mode == "sample":
+            conf = sample_confusion(labels, preds)
+        else:
+            conf = expected_confusion(probs_hat, preds)
+        return flm.evaluate(micro_confusion(conf, weights))
+
+    # Start from the argmax rule (0-1 loss) so the search never returns
+    # anything worse than the plain plug-in baseline.
+    best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
+    best_utility = utility_of(best_loss)
+
+    records: list[IterationRecord] = []
+    for _ in range(cfg.iterations):
+        gamma = 0.5 * (lower + upper)
+        cand_loss = loss_from_gamma(flm, gamma)
+        cand_utility = utility_of(cand_loss)
+        accepted = cand_utility >= gamma  # exact equality counts as success
+        if accepted:
+            lower = gamma
+            if cand_utility >= best_utility:
+                best_loss, best_utility = cand_loss, cand_utility
+        else:
+            upper = gamma
+        records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
+    tiled = LossTensor(np.broadcast_to(best_loss.values, (m_out, k, k)))
+    return tiled, BisectionTrace(records, best_loss.values, best_utility)
 
 
 def bisect_macro(
@@ -183,55 +177,54 @@ def bisect_macro(
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, list[BisectionTrace]]:
-    """Independent single-output searches; the loss slices may differ per output."""
+    """The micro search on each output alone; the loss slices may differ per output."""
     _check_bisect_inputs(labels, probs_hat, flm)
-    slices = []
-    traces = []
-    for m in range(labels.n_outputs):
-        labels_m = LabelMatrix(labels.values[:, m : m + 1], labels.n_classes)
-        probs_m = ProbabilityField(probs_hat.values[:, m : m + 1, :])
-        loss, utility, records = _bisect_single(labels_m, probs_m, flm, cfg, np.ones(1))
-        slices.append(loss.values)
-        traces.append(BisectionTrace(records, loss.values, utility))
-    return LossTensor(np.stack(slices)), traces
-
-
-def _decode_assignments(start: int, stop: int, n_cells: int, n_classes: int) -> np.ndarray:
-    """Assignment indices [start, stop) as 0-based digits, last cell fastest."""
-    remainder = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((stop - start, n_cells), dtype=np.int64)
-    for pos in range(n_cells - 1, -1, -1):
-        digits[:, pos] = remainder % n_classes
-        remainder //= n_classes
-    return digits
+    traces = [
+        bisect_micro(
+            LabelMatrix(labels.values[:, m : m + 1], labels.n_classes),
+            ProbabilityField(probs_hat.values[:, m : m + 1, :]),
+            flm,
+            cfg,
+        )[1]
+        for m in range(labels.n_outputs)
+    ]
+    return LossTensor(np.stack([t.final_loss for t in traces])), traces
 
 
 def _assignment_utilities(
-    digits: np.ndarray,
-    rows: np.ndarray,
+    preds: np.ndarray,
+    labels: LabelMatrix,
+    probs: ProbabilityField | None,
     weights: np.ndarray,
     spec: MetricSpec,
     mode: str,
 ) -> np.ndarray:
-    n, m_out, k = rows.shape
-    p = digits.shape[0]
-    batch = np.arange(p)
+    """The averaged utility of each stacked (P, N, M) prediction matrix, by the
+    arithmetic ``eval`` uses on one of them."""
+    p, n, m_out = preds.shape
+    k = labels.n_classes
     if mode in ("micro", "macro"):
-        conf_t = np.zeros((p, m_out, k, k))  # (batch, output, predicted, true)
-        for n_i in range(n):
-            for m_i in range(m_out):
-                col = digits[:, n_i * m_out + m_i]
-                conf_t[batch, m_i, col, :] += rows[n_i, m_i, :] / n
-        conf = conf_t.transpose(0, 1, 3, 2)
+        # one kernel column per (assignment, output), as in sample_confusion
+        cols = preds.transpose(1, 0, 2).reshape(n, p * m_out)
+        if probs is None:
+            counts = _joint_counts(cols, k, true=np.tile(labels.values, p))
+        else:
+            counts = _joint_counts(cols, k, rows=np.tile(probs.values, (1, p, 1)))
+        conf = (counts / n).reshape(p, m_out, k, k)
         if mode == "micro":
             return _eval_batch(spec, np.einsum("m,pmij->pij", weights, conf))
-        return _eval_batch(spec, conf) @ weights
-    inst_t = np.zeros((p, n, k, k))
-    for n_i in range(n):
-        for m_i in range(m_out):
-            col = digits[:, n_i * m_out + m_i]
-            inst_t[batch, n_i, col, :] += weights[m_i] * rows[n_i, m_i, :]
-    return _eval_batch(spec, inst_t.transpose(0, 1, 3, 2)).mean(axis=1)
+        # outputs added one by one, as macro_utility does
+        per_output = _eval_batch(spec, conf)
+        return sum(weights[m] * per_output[:, m] for m in range(m_out))
+    # one kernel column per (assignment, sample), as in per_sample_confusion
+    cols = preds.transpose(2, 0, 1).reshape(m_out, p * n)
+    if probs is None:
+        true = np.tile(labels.values.T, p)
+        counts = _joint_counts(cols, k, true=true, weights=weights[:, None])
+    else:
+        rows = weights[:, None, None] * probs.values.transpose(1, 0, 2)
+        counts = _joint_counts(cols, k, rows=np.tile(rows, (1, p, 1)))
+    return _eval_batch(spec, counts.reshape(p, n, k, k)).mean(axis=1)
 
 
 def brute_force_oracle(
@@ -253,32 +246,24 @@ def brute_force_oracle(
     total = k ** (n * m_out)
     if total > MAX_ENUMERATION:
         raise GuardError(f"instance too large: K^(N*M) = {total} exceeds {MAX_ENUMERATION}")
-    if probs is None:
-        rows = np.zeros((n, m_out, k))
-        sample_idx = np.arange(n)[:, None]
-        output_idx = np.arange(m_out)[None, :]
-        rows[sample_idx, output_idx, labels.values - 1] = 1.0
-    else:
-        if probs.values.shape != (n, m_out, k):
-            raise ValueError(
-                f"probability field shape {probs.values.shape} does not match labels "
-                f"(N={n}, M={m_out}, K={k})"
-            )
-        rows = probs.values
+    if probs is not None and probs.values.shape != (n, m_out, k):
+        raise ValueError(
+            f"probability field shape {probs.values.shape} does not match labels "
+            f"(N={n}, M={m_out}, K={k})"
+        )
     weights = avg.weights_for(m_out)
 
     best_utility = -np.inf
-    best_digits = None
+    best_preds = None
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        digits = _decode_assignments(start, stop, n * m_out, k)
-        utilities = _assignment_utilities(digits, rows, weights, spec, avg.mode)
+        cells = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), (k,) * (n * m_out))
+        preds = np.stack(cells, axis=1).reshape(-1, n, m_out) + 1
+        utilities = _assignment_utilities(preds, labels, probs, weights, spec, avg.mode)
         utilities = np.where(np.isnan(utilities), -np.inf, utilities)
         local_best = int(np.argmax(utilities))
         if utilities[local_best] > best_utility:
             best_utility = float(utilities[local_best])
-            best_digits = digits[local_best]
-    if best_digits is None or not np.isfinite(best_utility):
+            best_preds = preds[local_best]
+    if best_preds is None or not np.isfinite(best_utility):
         raise GuardError("degenerate denominator: metric undefined on every assignment")
-    preds = PredictionMatrix(best_digits.reshape(n, m_out) + 1, n_classes=k)
-    return best_utility, preds
+    return best_utility, PredictionMatrix(best_preds, n_classes=k)

@@ -138,10 +138,6 @@ class ConfusionTensor:
     def n_outputs(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
 
 def _check_paired(labels: LabelMatrix, preds: PredictionMatrix) -> None:
     if labels.values.shape != preds.values.shape:

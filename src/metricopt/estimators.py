@@ -23,6 +23,11 @@ from .errors import GuardError
 from .metrics import LossTensor, MetricSpec, eval_metric, loss_from_gradient
 
 
+# fit_lr's gradient-descent step size and L2 penalty
+LR_STEP = 0.1
+LR_L2 = 1e-4
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
@@ -92,14 +97,9 @@ def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray
     return grad
 
 
-def fit_lr(
-    features: np.ndarray,
-    labels: LabelMatrix,
-    l2: float = 1e-4,
-    step: float = 0.1,
-    iterations: int = 500,
-) -> MultinomialLRModel:
-    """Fit one model per output by full-batch gradient descent.
+def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> MultinomialLRModel:
+    """Fit one model per output by full-batch gradient descent with step
+    ``LR_STEP`` and L2 penalty ``LR_L2``.
 
     The descent is deterministic from a zero initialization.  No intercept
     column is added; append a constant feature when one is wanted.
@@ -113,8 +113,6 @@ def fit_lr(
         raise ValueError(
             f"{features.shape[0]} feature rows for {labels.n_samples} label rows"
         )
-    if l2 < 0:
-        raise ValueError("l2 penalty must be nonnegative")
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     m_out, k = labels.n_outputs, labels.n_classes
@@ -129,8 +127,8 @@ def fit_lr(
         buf = _DescentBuffers(features, labels.values[:, m], k)
         w = weights[m]
         for _ in range(iterations):
-            grad = _ce_grad(w, buf, l2)
-            grad *= step
+            grad = _ce_grad(w, buf, LR_L2)
+            grad *= LR_STEP
             w -= grad
     return MultinomialLRModel(weights, tuple(constant))
 

@@ -69,8 +69,8 @@ def _read_table(handle, path, n_columns: int, dtype, first_line: int) -> np.ndar
     return values
 
 
-def read_labels(path: str | Path, n_classes: int | None = None) -> LabelMatrix:
-    """Read a label (or prediction) matrix; K defaults to the largest class seen."""
+def read_labels(path: str | Path) -> LabelMatrix:
+    """Read a label (or prediction) matrix; K is the largest class seen."""
     with _open(path) as handle:
         header = handle.readline()
         if not header:
@@ -80,7 +80,7 @@ def read_labels(path: str | Path, n_classes: int | None = None) -> LabelMatrix:
             raise ValueError(f"{path}:1: malformed header {names!r}")
         array = _read_table(handle, path, len(names), np.int64, first_line=2)
     array.flags.writeable = False  # the matrix then holds this array, not a copy
-    return LabelMatrix(array, n_classes=int(array.max()) if n_classes is None else n_classes)
+    return LabelMatrix(array, n_classes=int(array.max()))
 
 
 def write_predictions(path: str | Path, preds: LabelMatrix) -> None:

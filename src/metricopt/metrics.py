@@ -136,10 +136,6 @@ class LossTensor:
             raise ValueError("loss entries must lie in [0, 1]")
         object.__setattr__(self, "values", _readonly(values))
 
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[-1]
-
     def to_dict(self) -> dict:
         """Document form of an (M, K, K) stack."""
         m_out, k, _ = self.values.shape

@@ -39,7 +39,6 @@ from metricopt.estimators import SyntheticConfig, generate_synthetic, performanc
 from metricopt.metrics import (
     LossTensor,
     MetricSpec,
-    _eval_batch,
     as_fractional_linear,
     eval_metric,
     loss_from_gamma,
@@ -97,24 +96,30 @@ def test_criterion_1_metric_suite():
             loss_from_gamma(flm, 0.5).values, [[2 / 3, 1.0], [1.0, 0.0]]
         )
 
+        # the formulas of the metrics.py table, written without any (A, B) matrix
         rng = np.random.default_rng(11)
-        specs = [
-            MetricSpec.ordinal(3),
-            MetricSpec.micro_f1(3),
-            MetricSpec.weighted_exp(3, 0.5),
-            MetricSpec.loss_based(rng.random((3, 3))),
+        k = 3
+        loss = rng.random((k, k))
+        confs = random_confusions(rng, 1000, k)
+        idx = np.arange(1, k + 1)
+        diag = np.einsum("pii->pi", confs)
+        closeness = 1.0 - np.abs(idx[:, None] - idx[None, :]) / (k - 1)
+        g = 0  # micro_f1's default negative class, 1-based class 1
+        table = [
+            (MetricSpec.ordinal(k), np.einsum("pij,ij->p", confs, closeness)),
+            (
+                MetricSpec.micro_f1(k),
+                2 * (diag.sum(axis=1) - diag[:, g])
+                / (2 - confs[:, g, :].sum(axis=1) - confs[:, :, g].sum(axis=1)),
+            ),
+            (MetricSpec.weighted_exp(k, 0.5), (np.exp(-0.5 * idx) * diag).sum(axis=1)),
+            (MetricSpec.loss_based(loss), 1.0 - np.einsum("pij,ij->p", confs, loss)),
         ]
-        confs = random_confusions(rng, 1000, 3)
-        for spec in specs:
-            rep = as_fractional_linear(spec)
-            direct = _eval_batch(spec, confs)
-            numer = np.einsum("pij,ij->p", confs, rep.numerator_A)
-            denom = np.einsum("pij,ij->p", confs, rep.denominator_B)
-            np.testing.assert_allclose(numer / denom, direct, atol=1e-10)
-            # spot-check the scalar route against the batch route
-            assert rep.evaluate(confs[0]) == pytest.approx(
-                eval_metric(spec, confs[0]), abs=1e-10
+        for spec, formula in table:
+            np.testing.assert_allclose(
+                as_fractional_linear(spec).evaluate_batch(confs), formula, rtol=0, atol=1e-10
             )
+            assert eval_metric(spec, confs[0]) == pytest.approx(formula[0], abs=1e-10)
 
 
 def test_criterion_2_gradient_checks():
@@ -316,8 +321,11 @@ def _population_utility(loss, eta_ref, flm):
     k = eta_ref.shape[1]
     scores = eta_ref @ loss  # column scores per candidate class
     preds = np.argmin(scores, axis=1)
-    conf_t = np.zeros((k, k))
-    np.add.at(conf_t, preds, eta_ref)
+    # conf_t[j, l] sums eta_l over the samples predicted as j, in sample order
+    conf_t = np.stack(
+        [np.bincount(preds, weights=eta_ref[:, l], minlength=k) for l in range(k)], axis=1
+    )
+    # transposed, not rebuilt row-major: the ratio's einsum rounds by memory layout
     return flm.evaluate(conf_t.T / eta_ref.shape[0])
 
 

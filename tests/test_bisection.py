@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt.averaging import AveragingSpec, macro_utility, micro_confusion
+from metricopt.averaging import (
+    AveragingSpec,
+    instance_utility,
+    macro_utility,
+    micro_confusion,
+    micro_utility,
+)
 from metricopt.bisection import (
     MAX_ENUMERATION,
     BisectionConfig,
@@ -17,6 +23,7 @@ from metricopt.confusion import (
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
+    per_sample_confusion,
     sample_confusion,
 )
 from metricopt.decision import weighted_predict
@@ -379,3 +386,59 @@ class TestBruteForceOracle:
         )
         assert u_sample == pytest.approx(u_expected, abs=1e-12)
         np.testing.assert_array_equal(p_sample.values, p_expected.values)
+
+
+def oracle_instance(seed, n, m_out, k, kind):
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
+    if kind == "fractional_linear":
+        spec = MetricSpec.fractional_linear(rng.random((k, k)), rng.random((k, k)) + 0.1)
+    else:
+        spec = getattr(MetricSpec, kind)(k)
+    return labels, probs, spec
+
+
+def evaluated_utility(spec, labels, probs, preds, avg):
+    """The utility ``eval`` reports for ``preds``; with ``probs``, the same
+    averaging of the expected confusion."""
+    if probs is not None:
+        conf = expected_confusion(probs, preds)
+    elif avg.mode == "instance":
+        weights = avg.weights_for(labels.n_outputs)
+        return instance_utility(spec, per_sample_confusion(labels, preds, weights))
+    else:
+        conf = sample_confusion(labels, preds)
+    return (micro_utility if avg.mode == "micro" else macro_utility)(spec, conf, avg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 3),
+    kind=st.sampled_from(["micro_f1", "ordinal", "macro_f1", "fractional_linear"]),
+    source=st.sampled_from(
+        [("micro", False), ("macro", False), ("instance", False), ("micro", True), ("macro", True)]
+    ),
+)
+@example(seed=4, n=6, m_out=1, k=2, kind="ordinal", source=("micro", False))
+@example(seed=3, n=5, m_out=2, k=2, kind="fractional_linear", source=("macro", False))
+@example(seed=1429, n=2, m_out=3, k=3, kind="fractional_linear", source=("instance", False))
+@example(seed=0, n=2, m_out=1, k=2, kind="micro_f1", source=("micro", True))
+@example(seed=3, n=5, m_out=2, k=2, kind="macro_f1", source=("macro", True))
+def test_oracle_utility_is_the_evaluated_utility_of_its_predictions(
+    seed, n, m_out, k, kind, source
+):
+    if k ** (n * m_out) > 4096:
+        return
+    mode, with_probs = source
+    labels, probs, spec = oracle_instance(seed, n, m_out, k, kind)
+    probs = probs if with_probs else None
+    avg = AveragingSpec(mode)
+    try:
+        utility, preds = brute_force_oracle(labels, probs, spec, avg)
+    except GuardError:
+        return
+    assert utility == evaluated_utility(spec, labels, probs, preds, avg)

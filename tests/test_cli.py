@@ -497,6 +497,22 @@ class TestOracle:
         report = RunReport.from_json(out.read_text())
         assert report.utilities["micro"] == expected
 
+    @pytest.mark.parametrize("averaging", ["micro", "macro", "instance"])
+    def test_eval_of_the_written_predictions_reports_the_oracle_utility(
+        self, tmp_path, averaging
+    ):
+        # six rows on which adding 1/N per sample, instead of dividing the counts
+        # once, rounds the micro and macro utilities an ulp away from eval's
+        labels = LabelMatrix(np.random.default_rng(4).integers(1, 3, size=(6, 1)), 2)
+        write_predictions(tmp_path / "labels.csv", labels)
+        common = ["--labels", str(tmp_path / "labels.csv"), "--metric", "ordinal",
+                  "--averaging", averaging]
+        preds, oracle_out, eval_out = (tmp_path / name for name in ("p.csv", "o.json", "e.json"))
+        assert main(["oracle", *common, "--preds", str(preds), "--out", str(oracle_out)]) == 0
+        assert main(["eval", *common, "--preds", str(preds), "--out", str(eval_out)]) == 0
+        oracle = RunReport.from_json(oracle_out.read_text()).utilities[averaging]
+        assert RunReport.from_json(eval_out.read_text()).utilities[averaging] == oracle
+
     def test_oversized_guard_exit_code(self, tmp_path, capsys):
         write_predictions(tmp_path / "labels.csv", LabelMatrix(np.full((30, 1), 2), 3))
         code = main(

@@ -3,6 +3,7 @@ import pytest
 
 from metricopt.confusion import LabelMatrix
 from metricopt.estimators import (
+    LR_L2,
     SyntheticConfig,
     _ce_grad,
     _DescentBuffers,
@@ -47,9 +48,9 @@ class TestFitLR:
 
     def test_gradient_small_at_returned_optimum(self, rng):
         features, labels = separable_blobs(rng, n_per_class=40)
-        model = fit_lr(features, labels, iterations=5000, step=0.5)
+        model = fit_lr(features, labels, iterations=25000)
         buf = _DescentBuffers(features, labels.values[:, 0], 2)
-        grad = _ce_grad(model.weights[0], buf, 1e-4)  # fit_lr's default l2
+        grad = _ce_grad(model.weights[0], buf, LR_L2)
         assert np.linalg.norm(grad) <= 1e-4
 
     def test_analytic_gradient_matches_finite_differences(self, rng):

@@ -67,9 +67,10 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "labels.csv"
             write_predictions(path, LabelMatrix(values, k))
-            back = read_labels(path, n_classes=k)
+            back = read_labels(path)
         assert back.values.dtype == np.int64
         np.testing.assert_array_equal(back.values, values)
+        assert back.n_classes == values.max()
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 6), **shapes)

@@ -1,13 +1,16 @@
-"""Per-cell Python loops as references for the confusion builders and the
-weighted decision rule, and the plain allocating gradient step as the
-reference for the logistic-regression descent."""
+"""Per-cell Python loops as references for the confusion builders, the
+weighted decision rule and the exhaustive oracle, and the plain allocating
+gradient step as the reference for the logistic-regression descent."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt.averaging import instance_utility
+from metricopt.averaging import AveragingSpec, instance_utility
+from metricopt.bisection import brute_force_oracle
 from metricopt.confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -106,6 +109,51 @@ def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, uniform, seed):
                 instance_utility(spec, per)
         else:
             assert instance_utility(spec, per) == pytest.approx(reference.mean(), rel=0, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 3),
+    uniform=st.booleans(),
+    kind=st.sampled_from(["micro_f1", "ordinal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, m_out=2, k=2, uniform=False, kind="micro_f1", seed=0)
+def test_instance_oracle_with_probabilities_matches_per_cell_loop(
+    n, m_out, k, uniform, kind, seed
+):
+    if k ** (n * m_out) > 1024:
+        return
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
+    weights = np.full(m_out, 1.0 / m_out) if uniform else rng.dirichlet(np.ones(m_out))
+    spec = getattr(MetricSpec, kind)(k)
+
+    # every assignment in enumeration order, last cell fastest; the first maximizer wins
+    best, best_preds = -np.inf, None
+    for assignment in itertools.product(range(1, k + 1), repeat=n * m_out):
+        preds = np.array(assignment).reshape(n, m_out)
+        # sample s's expected confusion: eta_s,m in column p_s,m, outputs added in order
+        per = np.zeros((n, k, k))
+        for s in range(n):
+            for m in range(m_out):
+                for i in range(k):
+                    per[s, i, preds[s, m] - 1] += weights[m] * probs.values[s, m, i]
+        utility = _eval_batch(spec, per).mean()
+        if utility > best:
+            best, best_preds = utility, preds
+
+    avg = AveragingSpec("instance", output_weights=None if uniform else weights)
+    if best_preds is None:
+        with pytest.raises(GuardError):
+            brute_force_oracle(labels, probs, spec, avg)
+        return
+    utility, preds = brute_force_oracle(labels, probs, spec, avg)
+    assert utility == best
+    np.testing.assert_array_equal(preds.values, best_preds)
 
 
 def plain_descent(features, labels, l2=1e-4, step=0.1, iterations=500):
