@@ -64,14 +64,43 @@ class RunReport:
         return cls(**json.loads(text))
 
 
-def _config_hash(parts: dict) -> str:
-    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
-
-
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     return int(os.environ.get("METRICOPT_SEED", "0"))
+
+
+# the flags each reporting command echoes into its report's "command", in order
+REPORT_FLAGS = {
+    "eval": ("labels", "preds", "metric", "averaging"),
+    "postprocess": ("labels", "probs", "features", "metric", "averaging", "iters"),
+    "oracle": ("labels", "probs", "metric", "averaging"),
+    "train-lr": ("features", "labels", "iters", "out"),
+}
+
+
+def _report(args, started: float, config: dict | None = None, **fields) -> RunReport:
+    """The report of the command ``args`` parsed, with the command's own ``fields``.
+
+    ``command`` is the subcommand and each of its REPORT_FLAGS that is set;
+    ``config_hash`` covers the metric document ``config``, the averaging mode
+    and the iterations where the command has them, and the seed.
+    """
+    command = [args.subcommand]
+    for name in REPORT_FLAGS[args.subcommand]:
+        if getattr(args, name) is not None:
+            command += [f"--{name}", str(getattr(args, name))]
+    seed = _resolve_seed(args.seed)
+    parts = {**vars(args), "metric": config, "seed": seed}
+    keys = ("metric", "averaging", "iters", "seed")
+    hashed = {key: parts[key] for key in keys if parts.get(key) is not None}
+    return RunReport(
+        command=command,
+        config_hash=hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
+        seed=seed,
+        wall_clock_s=time.perf_counter() - started,
+        **fields,
+    )
 
 
 def _load_metric_config(arg: str) -> dict:
@@ -81,7 +110,10 @@ def _load_metric_config(arg: str) -> dict:
     path = Path(arg)
     if path.exists():
         with open(path) as handle:
-            return json.load(handle)
+            config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ValueError(f"metric file {arg} must hold a JSON object, got {config!r}")
+        return config
     # bare kind shorthand, e.g. --metric ordinal
     return {"kind": text}
 
@@ -112,13 +144,12 @@ def _utilities_for(
 ) -> dict:
     """Requested-mode utility, plus the other modes where they are defined."""
     weights = AveragingSpec("instance").weights_for(labels.n_outputs)
-    utilities: dict = {}
     evaluators = {
         "micro": lambda: micro_utility(spec, conf, AveragingSpec("micro")),
         "macro": lambda: macro_utility(spec, conf, AveragingSpec("macro")),
         "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds, weights)),
     }
-    utilities[requested] = evaluators[requested]()
+    utilities = {requested: evaluators[requested]()}
     for mode, evaluate in evaluators.items():
         if mode == requested:
             continue
@@ -149,21 +180,7 @@ def cmd_eval(args) -> int:
     spec = metric_from_config(config, n_classes)
     conf = sample_confusion(labels, preds)
     utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
-    seed = _resolve_seed(args.seed)
-    report = RunReport(
-        command=[
-            "eval",
-            "--labels", args.labels,
-            "--preds", args.preds,
-            "--metric", args.metric,
-            "--averaging", args.averaging,
-        ],
-        config_hash=_config_hash({"metric": config, "averaging": args.averaging, "seed": seed}),
-        seed=seed,
-        utilities=utilities,
-        confusion=conf.values.tolist(),
-        wall_clock_s=time.perf_counter() - started,
-    )
+    report = _report(args, started, config, utilities=utilities, confusion=conf.values.tolist())
     _emit(report, args.out)
     return 0
 
@@ -177,22 +194,19 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_postprocess(args) -> int:
     started = time.perf_counter()
-    seed = _resolve_seed(args.seed)
     labels = read_labels(args.labels)
-    if args.probs:
+    if args.probs is not None:
         probs = read_probs(args.probs)
         labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
         labels_eval, probs_eval, probs_full = labels, probs, probs
-    elif args.features:
+    else:
         features = read_features(args.features)
         _aligned_labels(labels, args.labels, args.features, features.shape[0])
-        fit_idx, eval_idx = _split_indices(labels.n_samples, seed)
+        fit_idx, eval_idx = _split_indices(labels.n_samples, _resolve_seed(args.seed))
         model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes))
         probs_full = predict_proba(model, features)
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
         probs_eval = ProbabilityField(probs_full.values[eval_idx])
-    else:
-        raise ValueError("postprocess needs --probs or --features to obtain probabilities")
 
     config = _load_metric_config(args.metric)
     spec = metric_from_config(config, labels.n_classes)
@@ -222,41 +236,16 @@ def cmd_postprocess(args) -> int:
         write_predictions(args.preds, preds)
     conf = sample_confusion(labels, preds)
     utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
-    report = RunReport(
-        command=[
-            "postprocess",
-            "--labels", args.labels,
-            "--probs" if args.probs else "--features",
-            args.probs or args.features,
-            "--metric", args.metric,
-            "--averaging", args.averaging,
-            "--iters", str(args.iters),
-        ],
-        config_hash=_config_hash(
-            {
-                "metric": config,
-                "averaging": args.averaging,
-                "iters": args.iters,
-                "seed": seed,
-            }
-        ),
-        seed=seed,
-        utilities=utilities,
-        confusion=conf.values.tolist(),
-        loss=loss.to_dict(),
-        trace=trace_doc,
-        wall_clock_s=time.perf_counter() - started,
+    report = _report(
+        args, started, config, utilities=utilities, confusion=conf.values.tolist(),
+        loss=loss.to_dict(), trace=trace_doc,
     )
     _emit(report, args.out)
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(part) for part in text.split(",") if part.strip()]
 
 
 def _grid_rows_for_c1(task) -> list[dict]:
@@ -265,9 +254,9 @@ def _grid_rows_for_c1(task) -> list[dict]:
 
 
 def cmd_synth(args) -> int:
-    c1_values = _parse_float_list(args.c1)
-    c2_values = _parse_float_list(args.c2)
-    seeds = _parse_int_list(args.seeds)
+    c1_values = _parse_list(args.c1)
+    c2_values = _parse_list(args.c2)
+    seeds = _parse_list(args.seeds, int)
     if not c1_values or not c2_values or not seeds:
         raise ValueError("--c1, --c2 and --seeds must be non-empty")
     tasks = [(c1, c2_values, args.n, seeds, args.features_dim, args.classes) for c1 in c1_values]
@@ -293,27 +282,14 @@ def cmd_oracle(args) -> int:
     started = time.perf_counter()
     labels = read_labels(args.labels)
     probs = None
-    if args.probs:
+    if args.probs is not None:
         probs = read_probs(args.probs)
         labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
     config = _load_metric_config(args.metric)
     spec = metric_from_config(config, labels.n_classes)
     utility, preds = brute_force_oracle(labels, probs, spec, AveragingSpec(args.averaging))
-    seed = _resolve_seed(args.seed)
-    report = RunReport(
-        command=[
-            "oracle",
-            "--labels", args.labels,
-            *(["--probs", args.probs] if args.probs else []),
-            "--metric", args.metric,
-            "--averaging", args.averaging,
-        ],
-        config_hash=_config_hash({"metric": config, "averaging": args.averaging, "seed": seed}),
-        seed=seed,
-        utilities={args.averaging: utility},
-        predictions=preds.values.tolist(),
-        wall_clock_s=time.perf_counter() - started,
-    )
+    utilities = {args.averaging: utility}
+    report = _report(args, started, config, utilities=utilities, predictions=preds.values.tolist())
     if args.preds:
         write_predictions(args.preds, preds)
     _emit(report, args.out)
@@ -322,30 +298,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_train_lr(args) -> int:
     started = time.perf_counter()
-    if not args.features:
-        raise ValueError("train-lr needs --features")
-    if not args.out:
-        raise ValueError("train-lr needs --out for the probability file")
     features = read_features(args.features)
     labels = read_labels(args.labels)
-    seed = _resolve_seed(args.seed)
     model = fit_lr(features, labels, iterations=args.iters)
-    probs = predict_proba(model, features)
-    write_probs(args.out, probs)
-    report = RunReport(
-        command=[
-            "train-lr",
-            "--features", args.features,
-            "--labels", args.labels,
-            "--iters", str(args.iters),
-            "--out", args.out,
-        ],
-        config_hash=_config_hash({"iters": args.iters, "seed": seed}),
-        seed=seed,
-        utilities={},
-        wall_clock_s=time.perf_counter() - started,
-    )
-    print(report.to_json())
+    write_probs(args.out, predict_proba(model, features))
+    # --out names the probability file, so the report goes to stdout
+    _emit(_report(args, started, utilities={}), None)
     return 0
 
 
@@ -371,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_post = sub.add_parser("postprocess", help="fit a weighted classifier to the metric")
     p_post.add_argument("--labels", required=True)
-    p_post.add_argument("--probs", default=None, help="probability CSV (full set as eval split)")
-    p_post.add_argument("--features", default=None, help="feature CSV (internal fit/eval split)")
+    source = p_post.add_mutually_exclusive_group(required=True)
+    source.add_argument("--probs", default=None, help="probability CSV (full set as eval split)")
+    source.add_argument("--features", default=None, help="feature CSV (internal fit/eval split)")
     p_post.add_argument("--preds", default=None, help="write final predictions here")
     p_post.add_argument("--iters", type=int, default=50, help="bisection iterations")
     # instance averaging has no weighted-classifier characterization to fit

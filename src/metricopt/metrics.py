@@ -99,8 +99,10 @@ class FractionalLinearMetric:
 
     def evaluate_batch(self, confs: np.ndarray) -> np.ndarray:
         """The metric over stacked confusions of shape (..., K, K), NaN where
-        the denominator falls below the floor.  No input validation."""
-        confs = np.asarray(confs, dtype=float)
+        the denominator falls below the floor.  No input validation.  The
+        einsum sums in stride order, so the input is made C-contiguous first:
+        the same values give the same bits whatever their memory layout."""
+        confs = np.ascontiguousarray(confs, dtype=float)
         num = np.einsum("...ij,ij->...", confs, self.numerator_A)
         if self.is_linear:
             return num
@@ -354,45 +356,57 @@ def loss_from_gradient(spec: MetricSpec, conf: np.ndarray) -> LossTensor:
     return _rescale_unit(1.0 - metric_gradient(spec, conf))
 
 
+def _converted(value, convert, field: str, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"metric {field} must be {what}, got {value!r}") from None
+
+
+def _matrix(config: dict, params: dict, name: str) -> np.ndarray:
+    """The matrix ``name`` of a document, given inline or in its params."""
+    value = config.get(name, params.get(name))
+    if value is None:
+        raise ValueError(f'{config["kind"]} config requires matrix "{name}"')
+    return _converted(value, lambda v: np.asarray(v, dtype=float), name, "a numeric matrix")
+
+
 def metric_from_config(config: dict, n_classes: int | None = None) -> MetricSpec:
     """Build a MetricSpec from its document form.
 
     The document is ``{"kind": ..., "params": {...}}``; fractional_linear and
     loss_based carry their matrices inline as row-major nested lists ("A",
     "B", "L").  Class semantics are 1-based.  ``n_classes`` is required for
-    kinds that do not embed a matrix.
+    kinds that do not embed a matrix.  A document or ``params`` that is not a
+    JSON object, or a field that does not convert, is a ValueError naming it.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"metric config must be a JSON object, got {config!r}")
     if "kind" not in config:
         raise ValueError('metric config must have a "kind" field')
     kind = config["kind"]
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"metric params must be a JSON object, got {params!r}")
     if kind == "fractional_linear":
-        a = config.get("A", params.get("A"))
-        b = config.get("B", params.get("B"))
-        if a is None or b is None:
-            raise ValueError('fractional_linear config requires "A" and "B" matrices')
-        return MetricSpec.fractional_linear(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        a, b = _matrix(config, params, "A"), _matrix(config, params, "B")
+        return MetricSpec.fractional_linear(a, b)
     if kind == "loss_based":
-        loss = config.get("L", params.get("L"))
-        if loss is None:
-            raise ValueError('loss_based config requires an "L" matrix')
-        return MetricSpec.loss_based(np.asarray(loss, dtype=float))
+        return MetricSpec.loss_based(_matrix(config, params, "L"))
     if n_classes is None:
         raise ValueError(f"metric kind {kind!r} requires n_classes")
     if kind == "ordinal":
         return MetricSpec.ordinal(n_classes)
     if kind == "micro_f1":
-        return MetricSpec.micro_f1(n_classes, negative_class=int(params.get("negative_class", 1)))
+        g = _converted(params.get("negative_class", 1), int, "params.negative_class", "an integer")
+        return MetricSpec.micro_f1(n_classes, negative_class=g)
     if kind == "macro_f1":
         return MetricSpec.macro_f1(n_classes)
-    if kind == "weighted_exp":
+    if kind in ("weighted_exp", "polynomial"):
         if "gamma" not in params:
-            raise ValueError("weighted_exp config requires params.gamma")
-        return MetricSpec.weighted_exp(n_classes, float(params["gamma"]))
+            raise ValueError(f"{kind} config requires params.gamma")
+        gamma = _converted(params["gamma"], float, "params.gamma", "a number")
+        return getattr(MetricSpec, kind)(n_classes, gamma)
     if kind == "min_max":
         return MetricSpec.min_max(n_classes)
-    if kind == "polynomial":
-        if "gamma" not in params:
-            raise ValueError("polynomial config requires params.gamma")
-        return MetricSpec.polynomial(n_classes, float(params["gamma"]))
     raise ValueError(f"unknown metric kind {kind!r}")

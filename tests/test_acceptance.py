@@ -325,7 +325,7 @@ def _population_utility(loss, eta_ref, flm):
     conf_t = np.stack(
         [np.bincount(preds, weights=eta_ref[:, l], minlength=k) for l in range(k)], axis=1
     )
-    # transposed, not rebuilt row-major: the ratio's einsum rounds by memory layout
+    # a transposed view: evaluate rounds it as it would the row-major copy
     return flm.evaluate(conf_t.T / eta_ref.shape[0])
 
 

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metricopt
 from metricopt.cli import RunReport, _utilities_for, build_parser, main
 from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField, sample_confusion
 from metricopt.fileio import (
@@ -147,6 +153,29 @@ class TestEval:
         )
         assert code == 3
         assert "degenerate denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ('{"kind": "ordinal", "params": 5}', "metric params must be a JSON object"),
+            ('{"kind": "weighted_exp", "params": {"gamma": null}}', "metric params.gamma"),
+            ('{"kind": "micro_f1", "params": {"negative_class": [1]}}',
+             "metric params.negative_class"),
+            ("file:5", "must hold a JSON object, got 5"),
+        ],
+        ids=["params-not-object", "gamma-null", "negative-class-list", "file-holds-number"],
+    )
+    def test_malformed_metric_document_exit_code_and_message(
+        self, perfect_fixture, tmp_path, capsys, metric, message
+    ):
+        labels_path, preds_path = perfect_fixture
+        if metric.startswith("file:"):
+            (tmp_path / "metric.json").write_text(metric.removeprefix("file:"))
+            metric = str(tmp_path / "metric.json")
+        code = main(["eval", "--labels", str(labels_path), "--preds", str(preds_path),
+                     "--metric", metric])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPostprocess:
@@ -378,6 +407,27 @@ class TestPostprocess:
 
     def test_probability_row_mismatch_refused_for_linear_metric(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "probs", 45, metric="ordinal")
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [(("probs", "features"), "not allowed with argument"), ((), "one of the arguments")],
+        ids=["both", "neither"],
+    )
+    def test_probability_source_is_exactly_one_of_probs_and_features(
+        self, tmp_path, rng, capsys, sources, message
+    ):
+        self._write_problem(tmp_path, rng)
+        write_features(tmp_path / "features.csv", rng.standard_normal((40, 2)))
+        preds_path = tmp_path / "final.csv"
+        argv = ["postprocess", "--labels", str(tmp_path / "labels.csv"), "--metric", "micro_f1",
+                "--preds", str(preds_path)]
+        for source in sources:
+            argv += [f"--{source}", str(tmp_path / f"{source}.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not preds_path.exists()
 
 
 class TestSynth:
@@ -613,6 +663,108 @@ class TestReportCommand:
         assert main(argv) == 0
         command = json.loads(capsys.readouterr().out)["command"]
         assert _recorded(command) == _recorded(argv)
+
+
+def _sha256(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestReportPinned:
+    """The echoed command and the hashed configuration, spelled out per command."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, rng, monkeypatch):
+        monkeypatch.delenv("METRICOPT_SEED", raising=False)
+        n, m_out, k = 6, 1, 2
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(random_labels(rng, n, m_out, k), k))
+        write_predictions(tmp_path / "preds.csv", LabelMatrix(random_labels(rng, n, m_out, k), k))
+        write_probs(tmp_path / "probs.csv", ProbabilityField(random_prob_rows(rng, n, m_out, k)))
+        write_features(tmp_path / "features.csv", rng.standard_normal((n, 2)))
+        write_predictions(tmp_path / "few.csv", LabelMatrix(np.array([[1], [2]]), 2))
+        return {name: str(tmp_path / f"{name}.csv")
+                for name in ("labels", "preds", "probs", "features", "few", "lr")}
+
+    def _run(self, argv, tmp_path, capsys):
+        if argv[0] == "train-lr":
+            capsys.readouterr()
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        return json.loads((tmp_path / "report.json").read_text())
+
+    def test_eval(self, paths, tmp_path, capsys):
+        report = self._run(["eval", "--labels", paths["labels"], "--preds", paths["preds"],
+                            "--metric", "ordinal", "--seed", "4"], tmp_path, capsys)
+        assert report["command"] == ["eval", "--labels", paths["labels"],
+                                     "--preds", paths["preds"],
+                                     "--metric", "ordinal", "--averaging", "micro"]
+        assert report["config_hash"] == _sha256(
+            {"metric": {"kind": "ordinal"}, "averaging": "micro", "seed": 4})
+
+    def test_postprocess_probs(self, paths, tmp_path, capsys):
+        metric = '{"kind": "micro_f1", "params": {"negative_class": 2}}'
+        report = self._run(["postprocess", "--labels", paths["labels"], "--probs", paths["probs"],
+                            "--metric", metric, "--averaging", "macro", "--iters", "5",
+                            "--preds", str(tmp_path / "tuned.csv")], tmp_path, capsys)
+        assert report["command"] == ["postprocess", "--labels", paths["labels"],
+                                     "--probs", paths["probs"], "--metric", metric,
+                                     "--averaging", "macro", "--iters", "5"]
+        assert report["config_hash"] == _sha256(
+            {"metric": {"kind": "micro_f1", "params": {"negative_class": 2}},
+             "averaging": "macro", "iters": 5, "seed": 0})
+
+    def test_postprocess_features(self, paths, tmp_path, capsys):
+        report = self._run(["postprocess", "--labels", paths["labels"],
+                            "--features", paths["features"], "--metric", "micro_f1",
+                            "--seed", "3"], tmp_path, capsys)
+        assert report["command"] == ["postprocess", "--labels", paths["labels"],
+                                     "--features", paths["features"], "--metric", "micro_f1",
+                                     "--averaging", "micro", "--iters", "50"]
+        assert report["config_hash"] == _sha256(
+            {"metric": {"kind": "micro_f1"}, "averaging": "micro", "iters": 50, "seed": 3})
+
+    def test_oracle(self, paths, tmp_path, capsys):
+        report = self._run(["oracle", "--labels", paths["few"], "--metric", "micro_f1",
+                            "--averaging", "instance", "--seed", "8"], tmp_path, capsys)
+        assert report["command"] == ["oracle", "--labels", paths["few"], "--metric", "micro_f1",
+                                     "--averaging", "instance"]
+        assert report["config_hash"] == _sha256(
+            {"metric": {"kind": "micro_f1"}, "averaging": "instance", "seed": 8})
+
+    def test_train_lr(self, paths, tmp_path, capsys):
+        report = self._run(["train-lr", "--labels", paths["labels"],
+                            "--features", paths["features"], "--iters", "7",
+                            "--out", paths["lr"]], tmp_path, capsys)
+        assert report["command"] == ["train-lr", "--features", paths["features"],
+                                     "--labels", paths["labels"], "--iters", "7",
+                                     "--out", paths["lr"]]
+        assert report["config_hash"] == _sha256({"iters": 7, "seed": 0})
+
+
+class TestConsoleEntry:
+    """``python -m metricopt.cli`` exits through ``console_entry`` with main's code."""
+
+    @pytest.mark.parametrize(
+        "case, code", [("ok", 0), ("missing", 2), ("guard", 3)], ids=["exit-0", "exit-2", "exit-3"]
+    )
+    def test_exit_codes(self, tmp_path, case, code):
+        # all mass on micro-F1's negative class makes its denominator vanish
+        labels = [[2], [2]] if case == "guard" else [[1], [2]]
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(np.array(labels), 2))
+        write_predictions(tmp_path / "preds.csv", PredictionMatrix(np.array(labels), 2))
+        preds = tmp_path / ("nope.csv" if case == "missing" else "preds.csv")
+        metric = json.dumps({"kind": "micro_f1", "params": {"negative_class": 2}})
+        argv = ["eval", "--labels", str(tmp_path / "labels.csv"), "--preds", str(preds),
+                "--metric", metric]
+        src = str(Path(metricopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-m", "metricopt.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == code, result.stderr
+        if code == 0:
+            assert json.loads(result.stdout)["utilities"]["micro"] == 1.0
+        else:
+            assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 class TestSeedHandling:

@@ -216,6 +216,25 @@ class TestFractionalLinear:
                 continue
             assert flm.evaluate(conf) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([3, 5, 10]),
+        kind=st.sampled_from(["micro_f1", "ordinal"]),
+    )
+    def test_values_do_not_depend_on_memory_layout(self, seed, k, kind):
+        rng = np.random.default_rng(seed)
+        flm = as_fractional_linear(getattr(MetricSpec, kind)(k))
+        confs = np.stack([random_confusion(rng, k) for _ in range(20)])
+        expected = flm.evaluate_batch(confs)
+        # the same values stored column-major within each slice, and Fortran-ordered
+        column_major = confs.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+        np.testing.assert_array_equal(flm.evaluate_batch(column_major), expected)
+        np.testing.assert_array_equal(flm.evaluate_batch(np.asfortranarray(confs)), expected)
+        assert [flm.evaluate(conf) for conf in column_major] == [
+            flm.evaluate(conf) for conf in confs
+        ]
+
     def test_denominator_floor_enforced(self):
         flm = FractionalLinearMetric(np.eye(2), np.zeros((2, 2)))
         with pytest.raises(GuardError, match="degenerate denominator"):
