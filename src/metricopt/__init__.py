@@ -2,7 +2,7 @@
 post-processing of probability estimates into metric-optimal weighted
 classifiers."""
 
-from .averaging import AveragingSpec, instance_utility, macro_utility, micro_confusion, micro_utility
+from .averaging import instance_utility, macro_utility, micro_confusion, micro_utility
 from .bisection import (
     BisectionConfig,
     BisectionTrace,
@@ -44,7 +44,6 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingSpec",
     "BisectionConfig",
     "BisectionTrace",
     "ConfusionTensor",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingSpec, micro_confusion
+from .averaging import MODES, micro_confusion
 from .confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -138,7 +138,6 @@ def bisect_micro(
     """
     _check_bisect_inputs(labels, probs_hat, flm)
     m_out, k = labels.n_outputs, flm.n_classes
-    weights = np.full(m_out, 1.0 / m_out)
     lower, upper = _ratio_bracket(flm)
 
     def utility_of(loss: LossTensor) -> float:
@@ -147,7 +146,7 @@ def bisect_micro(
             conf = sample_confusion(labels, preds)
         else:
             conf = expected_confusion(probs_hat, preds)
-        return flm.evaluate(micro_confusion(conf, weights))
+        return flm.evaluate(micro_confusion(conf))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
@@ -195,7 +194,6 @@ def _assignment_utilities(
     preds: np.ndarray,
     labels: LabelMatrix,
     probs: ProbabilityField | None,
-    weights: np.ndarray,
     spec: MetricSpec,
     mode: str,
 ) -> np.ndarray:
@@ -203,6 +201,7 @@ def _assignment_utilities(
     arithmetic ``eval`` uses on one of them."""
     p, n, m_out = preds.shape
     k = labels.n_classes
+    weights = np.full(m_out, 1.0 / m_out)
     if mode in ("micro", "macro"):
         # one kernel column per (assignment, output), as in sample_confusion
         cols = preds.transpose(1, 0, 2).reshape(n, p * m_out)
@@ -218,12 +217,7 @@ def _assignment_utilities(
         return sum(weights[m] * per_output[:, m] for m in range(m_out))
     # one kernel column per (assignment, sample), as in per_sample_confusion
     cols = preds.transpose(2, 0, 1).reshape(m_out, p * n)
-    if probs is None:
-        true = np.tile(labels.values.T, p)
-        counts = _joint_counts(cols, k, true=true, weights=weights[:, None])
-    else:
-        rows = weights[:, None, None] * probs.values.transpose(1, 0, 2)
-        counts = _joint_counts(cols, k, rows=np.tile(rows, (1, p, 1)))
+    counts = _joint_counts(cols, k, true=np.tile(labels.values.T, p), weights=weights[:, None])
     return _eval_batch(spec, counts.reshape(p, n, k, k)).mean(axis=1)
 
 
@@ -231,16 +225,21 @@ def brute_force_oracle(
     labels: LabelMatrix,
     probs: ProbabilityField | None,
     spec: MetricSpec,
-    avg: AveragingSpec,
+    mode: str,
 ) -> tuple[float, PredictionMatrix]:
-    """Exhaustively maximize the averaged metric over every deterministic
-    prediction matrix.
+    """Exhaustively maximize the metric, averaged by ``mode``, over every
+    deterministic prediction matrix.
 
     With ``probs`` given the utility uses expected confusions, otherwise the
-    sample confusions of ``labels``.  Guarded at K^(N*M) <= 10^6 assignments;
-    ties resolve to the first maximizer in enumeration order (all class-1
-    predictions first, last cell varying fastest).
+    sample confusions of ``labels``; instance averaging refuses ``probs``.
+    Guarded at K^(N*M) <= 10^6 assignments; ties resolve to the first
+    maximizer in enumeration order (all class-1 predictions first, last cell
+    varying fastest).
     """
+    if mode not in MODES:
+        raise ValueError(f"averaging mode must be one of {MODES}, got {mode!r}")
+    if mode == "instance" and probs is not None:
+        raise ValueError("instance averaging takes no probabilities (--probs), only labels")
     n, m_out = labels.values.shape
     k = labels.n_classes
     total = k ** (n * m_out)
@@ -251,14 +250,13 @@ def brute_force_oracle(
             f"probability field shape {probs.values.shape} does not match labels "
             f"(N={n}, M={m_out}, K={k})"
         )
-    weights = avg.weights_for(m_out)
 
     best_utility = -np.inf
     best_preds = None
     for start in range(0, total, _CHUNK):
         cells = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), (k,) * (n * m_out))
         preds = np.stack(cells, axis=1).reshape(-1, n, m_out) + 1
-        utilities = _assignment_utilities(preds, labels, probs, weights, spec, avg.mode)
+        utilities = _assignment_utilities(preds, labels, probs, spec, mode)
         utilities = np.where(np.isnan(utilities), -np.inf, utilities)
         local_best = int(np.argmax(utilities))
         if utilities[local_best] > best_utility:

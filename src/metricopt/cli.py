@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import AveragingSpec, instance_utility, macro_utility, micro_utility
+from .averaging import MODES, instance_utility, macro_utility, micro_utility
 from .bisection import BisectionConfig, bisect_macro, bisect_micro, brute_force_oracle
 from .confusion import (
     ConfusionTensor,
@@ -143,11 +143,10 @@ def _utilities_for(
     requested: str,
 ) -> dict:
     """Requested-mode utility, plus the other modes where they are defined."""
-    weights = AveragingSpec("instance").weights_for(labels.n_outputs)
     evaluators = {
-        "micro": lambda: micro_utility(spec, conf, AveragingSpec("micro")),
-        "macro": lambda: macro_utility(spec, conf, AveragingSpec("macro")),
-        "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds, weights)),
+        "micro": lambda: micro_utility(spec, conf),
+        "macro": lambda: macro_utility(spec, conf),
+        "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds)),
     }
     utilities = {requested: evaluators[requested]()}
     for mode, evaluate in evaluators.items():
@@ -287,11 +286,11 @@ def cmd_oracle(args) -> int:
         labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
     config = _load_metric_config(args.metric)
     spec = metric_from_config(config, labels.n_classes)
-    utility, preds = brute_force_oracle(labels, probs, spec, AveragingSpec(args.averaging))
-    utilities = {args.averaging: utility}
-    report = _report(args, started, config, utilities=utilities, predictions=preds.values.tolist())
+    utility, preds = brute_force_oracle(labels, probs, spec, args.averaging)
     if args.preds:
         write_predictions(args.preds, preds)
+    utilities = {args.averaging: utility}
+    report = _report(args, started, config, utilities=utilities, predictions=preds.values.tolist())
     _emit(report, args.out)
     return 0
 
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, averaging_choices=("micro", "macro", "instance")):
+    def add_common(p, averaging_choices=MODES):
         p.add_argument("--seed", type=int, default=None, help="seed (default METRICOPT_SEED or 0)")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--metric", required=True, help="metric kind, JSON, or JSON file path")

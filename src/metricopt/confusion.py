@@ -193,26 +193,18 @@ def sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> ConfusionT
     return ConfusionTensor(counts / labels.n_samples)
 
 
-def per_sample_confusion(
-    labels: LabelMatrix, preds: PredictionMatrix, weights: np.ndarray
-) -> np.ndarray:
-    """Output-weighted confusion per sample, shape (N, K, K).
+def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.ndarray:
+    """Output-averaged confusion per sample, shape (N, K, K).
 
-    Sample n's matrix is ``sum_m weights[m] e_{y_nm} e_{p_nm}^T``: at most M
+    Sample n's matrix is ``sum_m (1/M) e_{y_nm} e_{p_nm}^T``: at most M
     nonzero cells, summed in output order.  Averaging over samples reproduces
-    ``micro_confusion(sample_confusion(labels, preds), weights)``;
+    ``micro_confusion(sample_confusion(labels, preds))``;
     ``instance_utility`` consumes this array directly.
     """
     _check_paired(labels, preds)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (labels.n_outputs,):
-        raise ValueError(f"expected {labels.n_outputs} output weights, got shape {weights.shape}")
-    if weights.min() < 0:
-        raise ValueError("output weights must be nonnegative")
+    weights = np.full((labels.n_outputs, 1), 1.0 / labels.n_outputs)
     # each sample is one column of the kernel; its outputs are the rows
-    return _joint_counts(
-        preds.values.T, labels.n_classes, true=labels.values.T, weights=weights[:, None]
-    )
+    return _joint_counts(preds.values.T, labels.n_classes, true=labels.values.T, weights=weights)
 
 
 def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:

@@ -28,6 +28,7 @@ loss_based expressions above hold on unit mass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -275,9 +276,9 @@ def eval_metric(spec: MetricSpec, conf: np.ndarray, *, check_mass: bool = True) 
 
     Raises GuardError when a fractional denominator falls below the floor,
     ValueError on malformed input.  ``check_mass=False`` admits confusions of
-    any total mass, such as the micro sum of unit-mass slices under output
-    weights that do not sum to 1: linear kinds then scale with the mass, and
-    fractional kinds, being scale-invariant, keep their value.
+    any total mass, such as a finite-difference probe off the simplex: linear
+    kinds then scale with the mass, and fractional kinds, being
+    scale-invariant, keep their value.
     """
     conf = _validate_confusion(spec, conf, check_mass)
     value = float(_eval_batch(spec, conf))
@@ -356,11 +357,15 @@ def loss_from_gradient(spec: MetricSpec, conf: np.ndarray) -> LossTensor:
     return _rescale_unit(1.0 - metric_gradient(spec, conf))
 
 
-def _converted(value, convert, field: str, what: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"metric {field} must be {what}, got {value!r}") from None
+# the params each kind reads; a document naming any other is refused
+_PARAMS = {"micro_f1": ("negative_class",), "weighted_exp": ("gamma",), "polynomial": ("gamma",),
+           "fractional_linear": ("A", "B"), "loss_based": ("L",)}
+
+
+def _number(value, kind_of, field: str, what: str):
+    if isinstance(value, kind_of) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"metric {field} must be {what}, got {value!r}")
 
 
 def _matrix(config: dict, params: dict, name: str) -> np.ndarray:
@@ -368,7 +373,10 @@ def _matrix(config: dict, params: dict, name: str) -> np.ndarray:
     value = config.get(name, params.get(name))
     if value is None:
         raise ValueError(f'{config["kind"]} config requires matrix "{name}"')
-    return _converted(value, lambda v: np.asarray(v, dtype=float), name, "a numeric matrix")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"metric {name} must be a numeric matrix, got {value!r}") from None
 
 
 def metric_from_config(config: dict, n_classes: int | None = None) -> MetricSpec:
@@ -378,16 +386,23 @@ def metric_from_config(config: dict, n_classes: int | None = None) -> MetricSpec
     loss_based carry their matrices inline as row-major nested lists ("A",
     "B", "L").  Class semantics are 1-based.  ``n_classes`` is required for
     kinds that do not embed a matrix.  A document or ``params`` that is not a
-    JSON object, or a field that does not convert, is a ValueError naming it.
+    JSON object, a parameter the kind does not read, a field that does not
+    convert, or a bool or fractional value where a number or an integer is
+    due, is a ValueError naming it.
     """
     if not isinstance(config, dict):
         raise ValueError(f"metric config must be a JSON object, got {config!r}")
     if "kind" not in config:
         raise ValueError('metric config must have a "kind" field')
     kind = config["kind"]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"metric params must be a JSON object, got {params!r}")
+    unknown = [name for name in params if name not in _PARAMS.get(kind, ())]
+    if unknown:
+        raise ValueError(f"metric params.{unknown[0]} is not a parameter of {kind}")
     if kind == "fractional_linear":
         a, b = _matrix(config, params, "A"), _matrix(config, params, "B")
         return MetricSpec.fractional_linear(a, b)
@@ -398,15 +413,14 @@ def metric_from_config(config: dict, n_classes: int | None = None) -> MetricSpec
     if kind == "ordinal":
         return MetricSpec.ordinal(n_classes)
     if kind == "micro_f1":
-        g = _converted(params.get("negative_class", 1), int, "params.negative_class", "an integer")
+        g = _number(params.get("negative_class", 1), Integral, "params.negative_class", "an integer")
         return MetricSpec.micro_f1(n_classes, negative_class=g)
     if kind == "macro_f1":
         return MetricSpec.macro_f1(n_classes)
     if kind in ("weighted_exp", "polynomial"):
         if "gamma" not in params:
             raise ValueError(f"{kind} config requires params.gamma")
-        gamma = _converted(params["gamma"], float, "params.gamma", "a number")
+        gamma = _number(params["gamma"], Real, "params.gamma", "a number")
         return getattr(MetricSpec, kind)(n_classes, gamma)
-    if kind == "min_max":
-        return MetricSpec.min_max(n_classes)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    # min_max is the one kind left
+    return MetricSpec.min_max(n_classes)

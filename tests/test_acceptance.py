@@ -13,12 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from metricopt.averaging import (
-    AveragingSpec,
-    instance_utility,
-    macro_utility,
-    micro_utility,
-)
+from metricopt.averaging import instance_utility, macro_utility, micro_utility
 from metricopt.bisection import (
     BisectionConfig,
     bisect_macro,
@@ -208,7 +203,7 @@ def test_criterion_3_oracle_equivalence():
                 bis_preds = weighted_predict(loss, probs)
                 conf = expected_confusion(probs, bis_preds)
                 utility = flm.evaluate(conf.values.mean(axis=0))
-                oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
+                oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
                 assert utility >= oracle_u - slack
 
 
@@ -248,9 +243,9 @@ def test_criterion_5_averaging_identities():
                 labels = LabelMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 preds = PredictionMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 conf = sample_confusion(labels, preds)
-                per = per_sample_confusion(labels, preds, np.full(m_out, 1.0 / m_out))
-                micro = micro_utility(spec, conf, AveragingSpec("micro"))
-                macro = macro_utility(spec, conf, AveragingSpec("macro"))
+                per = per_sample_confusion(labels, preds)
+                micro = micro_utility(spec, conf)
+                macro = macro_utility(spec, conf)
                 inst = instance_utility(spec, per)
                 assert abs(micro - macro) <= 1e-12
                 assert abs(micro - inst) <= 1e-12
@@ -259,14 +254,14 @@ def test_criterion_5_averaging_identities():
         for _ in range(10):
             n = int(rng.integers(2, 9))
             labels = LabelMatrix(rng.integers(1, 3, size=(n, 2)), 2)
-            joint_u, _ = brute_force_oracle(labels, None, spec, AveragingSpec("macro"))
+            joint_u, _ = brute_force_oracle(labels, None, spec, "macro")
             split_u = 0.0
             for m in range(2):
                 u_m, _ = brute_force_oracle(
                     LabelMatrix(labels.values[:, m : m + 1], 2),
                     None,
                     spec,
-                    AveragingSpec("macro"),
+                    "macro",
                 )
                 split_u += 0.5 * u_m
             assert joint_u == pytest.approx(split_u, abs=1e-12)
@@ -444,11 +439,10 @@ def test_criterion_8_postprocessing_never_loses():
                             labels, probs, flm, BisectionConfig(iterations=iterations)
                         )
                     tuned_conf = sample_confusion(labels, weighted_predict(loss, probs))
-                    avg = AveragingSpec(mode)
                     if mode == "micro":
-                        tuned_u = micro_utility(spec, tuned_conf, avg)
-                        base_u = micro_utility(spec, baseline_conf, avg)
+                        tuned_u = micro_utility(spec, tuned_conf)
+                        base_u = micro_utility(spec, baseline_conf)
                     else:
-                        tuned_u = macro_utility(spec, tuned_conf, avg)
-                        base_u = macro_utility(spec, baseline_conf, avg)
+                        tuned_u = macro_utility(spec, tuned_conf)
+                        base_u = macro_utility(spec, baseline_conf)
                     assert tuned_u >= base_u - slack, (spec.kind, mode, tuned_u, base_u)

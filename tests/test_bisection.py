@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricopt.averaging import (
-    AveragingSpec,
     instance_utility,
     macro_utility,
     micro_confusion,
@@ -135,7 +134,7 @@ class TestBisectMicro:
             probs = ProbabilityField(random_prob_rows(rng, n, 1, 2))
             cfg = BisectionConfig(iterations=50, eval_mode="expected")
             loss, _ = bisect_micro(labels, probs, flm, cfg)
-            oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
+            oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
             preds = weighted_predict(loss, probs)
             achieved = flm.evaluate(expected_confusion(probs, preds).values.mean(axis=0))
             assert achieved >= oracle_u - 2.0**-50 - 1e-9
@@ -191,12 +190,11 @@ class TestBisectMacro:
         cfg = BisectionConfig(iterations=40)
         loss_macro, _ = bisect_macro(labels, probs, flm, cfg)
         loss_micro, _ = bisect_micro(labels, probs, flm, cfg)
-        avg = AveragingSpec("macro")
         macro_of_macro = macro_utility(
-            spec, sample_confusion(labels, weighted_predict(loss_macro, probs)), avg
+            spec, sample_confusion(labels, weighted_predict(loss_macro, probs))
         )
         macro_of_micro = macro_utility(
-            spec, sample_confusion(labels, weighted_predict(loss_micro, probs)), avg
+            spec, sample_confusion(labels, weighted_predict(loss_micro, probs))
         )
         assert macro_of_macro >= macro_of_micro - 1e-12
 
@@ -239,8 +237,8 @@ class TestRatioBracket:
             loss, trace = bisect_micro(labels, probs, flm, cfg)
             assert trace.records[0].gamma == 1.5
             conf = expected_confusion(probs, weighted_predict(loss, probs))
-            achieved = flm.evaluate(micro_confusion(conf, np.full(m_out, 1.0 / m_out)))
-            oracle_u, _ = brute_force_oracle(labels, probs, spec, AveragingSpec("micro"))
+            achieved = flm.evaluate(micro_confusion(conf))
+            oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
             assert achieved >= oracle_u - slack
 
 
@@ -290,7 +288,7 @@ class TestSearchProperties:
             conf = expected_confusion(probs, argmax_preds)
 
         _, trace = bisect_micro(labels, probs, flm, cfg)
-        micro = micro_confusion(conf, np.full(m_out, 1.0 / m_out))
+        micro = micro_confusion(conf)
         assert trace.final_utility >= flm.evaluate(micro)
         _, traces = bisect_macro(labels, probs, flm, cfg)
         for m, output_trace in enumerate(traces):
@@ -318,9 +316,7 @@ class TestSearchProperties:
 class TestBruteForceOracle:
     def test_single_sample_predicts_truth(self):
         labels = LabelMatrix(np.array([[2]]), 2)
-        utility, preds = brute_force_oracle(
-            labels, None, MetricSpec.ordinal(2), AveragingSpec("micro")
-        )
+        utility, preds = brute_force_oracle(labels, None, MetricSpec.ordinal(2), "micro")
         assert utility == 1.0
         assert preds.values[0, 0] == 2
 
@@ -337,7 +333,7 @@ class TestBruteForceOracle:
             den = 2 - conf[0, :].sum() - conf[:, 0].sum()
             if den > 0:
                 best = max(best, num / den)
-        utility, _ = brute_force_oracle(labels, None, spec, AveragingSpec("micro"))
+        utility, _ = brute_force_oracle(labels, None, spec, "micro")
         assert utility == pytest.approx(best, abs=1e-12)
 
     def test_oracle_dominates_gamma_grid(self, rng):
@@ -345,7 +341,7 @@ class TestBruteForceOracle:
         probs = ProbabilityField(random_prob_rows(rng, 6, 1, 2))
         spec = MetricSpec.micro_f1(2)
         flm = as_fractional_linear(spec)
-        utility, _ = brute_force_oracle(labels, None, spec, AveragingSpec("micro"))
+        utility, _ = brute_force_oracle(labels, None, spec, "micro")
         for gamma in np.linspace(0, 1, 500):
             loss = loss_from_gamma(flm, gamma)
             scores = np.einsum("lk,nml->nmk", loss.values, probs.values)
@@ -359,20 +355,15 @@ class TestBruteForceOracle:
 
     def test_instance_averaging_supported(self, rng):
         labels = LabelMatrix(random_labels(rng, 3, 2, 2), 2)
-        utility, preds = brute_force_oracle(
-            labels, None, MetricSpec.micro_f1(2), AveragingSpec("instance")
-        )
-        from metricopt.averaging import instance_utility
-        from metricopt.confusion import per_sample_confusion
-
-        per = per_sample_confusion(labels, preds, AveragingSpec("instance").weights_for(2))
+        utility, preds = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), "instance")
+        per = per_sample_confusion(labels, preds)
         achieved = instance_utility(MetricSpec.micro_f1(2), per)
         assert achieved == pytest.approx(utility, abs=1e-12)
 
     def test_oversized_instance_guarded(self):
         labels = LabelMatrix(np.ones((25, 1), dtype=int), 3)
         with pytest.raises(GuardError, match="instance too large"):
-            brute_force_oracle(labels, None, MetricSpec.ordinal(3), AveragingSpec("micro"))
+            brute_force_oracle(labels, None, MetricSpec.ordinal(3), "micro")
         assert 3**25 > MAX_ENUMERATION
 
     def test_expected_mode_equals_sample_mode_on_onehot(self, rng):
@@ -380,10 +371,8 @@ class TestBruteForceOracle:
         onehot = np.zeros((4, 1, 3))
         onehot[np.arange(4), 0, labels.values[:, 0] - 1] = 1.0
         spec = MetricSpec.ordinal(3)
-        u_sample, p_sample = brute_force_oracle(labels, None, spec, AveragingSpec("micro"))
-        u_expected, p_expected = brute_force_oracle(
-            labels, ProbabilityField(onehot), spec, AveragingSpec("micro")
-        )
+        u_sample, p_sample = brute_force_oracle(labels, None, spec, "micro")
+        u_expected, p_expected = brute_force_oracle(labels, ProbabilityField(onehot), spec, "micro")
         assert u_sample == pytest.approx(u_expected, abs=1e-12)
         np.testing.assert_array_equal(p_sample.values, p_expected.values)
 
@@ -399,17 +388,16 @@ def oracle_instance(seed, n, m_out, k, kind):
     return labels, probs, spec
 
 
-def evaluated_utility(spec, labels, probs, preds, avg):
+def evaluated_utility(spec, labels, probs, preds, mode):
     """The utility ``eval`` reports for ``preds``; with ``probs``, the same
     averaging of the expected confusion."""
     if probs is not None:
         conf = expected_confusion(probs, preds)
-    elif avg.mode == "instance":
-        weights = avg.weights_for(labels.n_outputs)
-        return instance_utility(spec, per_sample_confusion(labels, preds, weights))
+    elif mode == "instance":
+        return instance_utility(spec, per_sample_confusion(labels, preds))
     else:
         conf = sample_confusion(labels, preds)
-    return (micro_utility if avg.mode == "micro" else macro_utility)(spec, conf, avg)
+    return (micro_utility if mode == "micro" else macro_utility)(spec, conf)
 
 
 @settings(max_examples=150, deadline=None)
@@ -436,9 +424,8 @@ def test_oracle_utility_is_the_evaluated_utility_of_its_predictions(
     mode, with_probs = source
     labels, probs, spec = oracle_instance(seed, n, m_out, k, kind)
     probs = probs if with_probs else None
-    avg = AveragingSpec(mode)
     try:
-        utility, preds = brute_force_oracle(labels, probs, spec, avg)
+        utility, preds = brute_force_oracle(labels, probs, spec, mode)
     except GuardError:
         return
-    assert utility == evaluated_utility(spec, labels, probs, preds, avg)
+    assert utility == evaluated_utility(spec, labels, probs, preds, mode)

@@ -162,8 +162,28 @@ class TestEval:
             ('{"kind": "micro_f1", "params": {"negative_class": [1]}}',
              "metric params.negative_class"),
             ("file:5", "must hold a JSON object, got 5"),
+            ('{"kind": "micro_f1", "params": {"negative_class": 2.7}}',
+             "metric params.negative_class must be an integer, got 2.7"),
+            ('{"kind": "micro_f1", "params": {"negative_class": true}}',
+             "metric params.negative_class must be an integer, got True"),
+            ('{"kind": "weighted_exp", "params": {"gamma": true}}',
+             "metric params.gamma must be a number, got True"),
+            ('{"kind": "weighted_exp", "params": {"gama": 0.5}}',
+             "metric params.gama is not a parameter of weighted_exp"),
+            ('{"kind": "ordinal", "params": {"gamma": 0.5}}',
+             "metric params.gamma is not a parameter of ordinal"),
+            ('{"kind": "micro_f1", "params": {"gamma": 0.5}}',
+             "metric params.gamma is not a parameter of micro_f1"),
+            ('{"kind": "fractional_linear", "params": {"A": [[1, 0], [0, 1]], '
+             '"B": [[1, 1], [1, 1]], "L": [[0, 1], [1, 0]]}}',
+             "metric params.L is not a parameter of fractional_linear"),
+            ('{"kind": "loss_based", "params": {"L": [[0, 1], [1, 0]], "A": [[1, 0], [0, 1]]}}',
+             "metric params.A is not a parameter of loss_based"),
         ],
-        ids=["params-not-object", "gamma-null", "negative-class-list", "file-holds-number"],
+        ids=["params-not-object", "gamma-null", "negative-class-list", "file-holds-number",
+             "negative-class-fraction", "negative-class-bool", "gamma-bool", "gamma-misspelt",
+             "param-on-kind-without-params", "gamma-on-micro-f1", "L-on-fractional-linear",
+             "A-on-loss-based"],
     )
     def test_malformed_metric_document_exit_code_and_message(
         self, perfect_fixture, tmp_path, capsys, metric, message
@@ -539,11 +559,10 @@ class TestOracle:
             ]
         )
         assert code == 0
-        from metricopt.averaging import AveragingSpec
         from metricopt.bisection import brute_force_oracle
         from metricopt.metrics import MetricSpec, eval_metric
 
-        expected, _ = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), AveragingSpec("micro"))
+        expected, _ = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), "micro")
         report = RunReport.from_json(out.read_text())
         assert report.utilities["micro"] == expected
 
@@ -562,6 +581,38 @@ class TestOracle:
         assert main(["eval", *common, "--preds", str(preds), "--out", str(eval_out)]) == 0
         oracle = RunReport.from_json(oracle_out.read_text()).utilities[averaging]
         assert RunReport.from_json(eval_out.read_text()).utilities[averaging] == oracle
+
+    def test_instance_with_probabilities_refused(self, tmp_path, rng, capsys):
+        TestPostprocess()._write_problem(tmp_path, rng, n=2, m=1, k=2)
+        preds = tmp_path / "oracle.csv"
+        code = main(["oracle", "--labels", str(tmp_path / "labels.csv"),
+                     "--probs", str(tmp_path / "probs.csv"), "--metric", "micro_f1",
+                     "--averaging", "instance", "--preds", str(preds)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "instance averaging" in err and "--probs" in err
+        assert not preds.exists()
+
+    def test_wall_clock_covers_the_prediction_write(self, tmp_path, monkeypatch):
+        import types
+
+        import metricopt.cli as cli
+
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(np.array([[1], [2]]), 2))
+        clock = [0.0]
+        writer = cli.write_predictions
+
+        def slow_write(path, preds):
+            writer(path, preds)
+            clock[0] += 100.0
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(cli, "write_predictions", slow_write)
+        out = tmp_path / "report.json"
+        code = main(["oracle", "--labels", str(tmp_path / "labels.csv"), "--metric", "ordinal",
+                     "--preds", str(tmp_path / "oracle.csv"), "--out", str(out)])
+        assert code == 0
+        assert RunReport.from_json(out.read_text()).wall_clock_s == 100.0
 
     def test_oversized_guard_exit_code(self, tmp_path, capsys):
         write_predictions(tmp_path / "labels.csv", LabelMatrix(np.full((30, 1), 2), 3))

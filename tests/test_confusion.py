@@ -125,12 +125,11 @@ class TestPadding:
 
 class TestPerSampleConfusion:
     def test_mean_recovers_sample_confusion(self, rng):
-        labels = LabelMatrix(random_labels(rng, 15, 2, 3), 3)
-        preds = PredictionMatrix(random_labels(rng, 15, 2, 3), 3)
-        weights = np.array([0.25, 0.75])
-        per = per_sample_confusion(labels, preds, weights)
+        labels = LabelMatrix(random_labels(rng, 15, 3, 3), 3)
+        preds = PredictionMatrix(random_labels(rng, 15, 3, 3), 3)
+        per = per_sample_confusion(labels, preds)
         assert per.shape == (15, 3, 3)
-        micro = micro_confusion(sample_confusion(labels, preds), weights)
+        micro = micro_confusion(sample_confusion(labels, preds))
         np.testing.assert_allclose(per.mean(axis=0), micro)
         np.testing.assert_allclose(per.sum(axis=(1, 2)), 1.0)
 
@@ -139,10 +138,9 @@ class TestPerSampleConfusion:
         n, m_out, k = 20000, 8, 5
         labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
         preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
-        weights = np.full(m_out, 1.0 / m_out)
         tracemalloc.start()
         try:
-            per = per_sample_confusion(labels, preds, weights)
+            per = per_sample_confusion(labels, preds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

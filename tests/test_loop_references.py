@@ -1,6 +1,7 @@
 """Per-cell Python loops as references for the confusion builders, the
-weighted decision rule and the exhaustive oracle, and the plain allocating
-gradient step as the reference for the logistic-regression descent."""
+averaged utilities, the weighted decision rule and the exhaustive oracle, and
+the plain allocating gradient step as the reference for the
+logistic-regression descent."""
 
 import itertools
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt.averaging import AveragingSpec, instance_utility
+from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
 from metricopt.bisection import brute_force_oracle
 from metricopt.confusion import (
     LabelMatrix,
@@ -74,26 +75,49 @@ def test_builders_match_per_cell_loops(n, m_out, k, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
-    m_out=st.integers(1, 4),
+    m_out=st.integers(1, 5),
     k=st.integers(2, 5),
-    uniform=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=1, m_out=1, k=2, uniform=True, seed=0)
-@example(n=1, m_out=1, k=2, uniform=False, seed=0)
-def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, uniform, seed):
+@example(n=1, m_out=1, k=2, seed=0)
+@example(n=7, m_out=3, k=3, seed=0)
+@example(n=7, m_out=5, k=4, seed=1)
+def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, seed):
     rng = np.random.default_rng(seed)
     labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
     preds = PredictionMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
-    weights = np.full(m_out, 1.0 / m_out) if uniform else rng.dirichlet(np.ones(m_out))
+    weights = np.full(m_out, 1.0 / m_out)
 
     # outputs added in order, as the kernel does, so the sums agree exactly
     looped = np.zeros((n, k, k))
     for s in range(n):
         for m in range(m_out):
             looped[s, labels.values[s, m] - 1, preds.values[s, m] - 1] += weights[m]
-    per = per_sample_confusion(labels, preds, weights)
+    per = per_sample_confusion(labels, preds)
     np.testing.assert_array_equal(per, looped)
+
+    # micro and macro: each output weighted 1/M and added in output order, bit for bit
+    conf = sample_confusion(labels, preds)
+    micro = np.zeros((k, k))
+    for m in range(m_out):
+        micro += weights[m] * conf.values[m]
+    np.testing.assert_array_equal(micro_confusion(conf), micro)
+    for spec in (MetricSpec.ordinal(k), MetricSpec.micro_f1(k)):
+        reference = float(_eval_batch(spec, micro))
+        if np.isnan(reference):
+            with pytest.raises(GuardError):
+                micro_utility(spec, conf)
+        else:
+            assert micro_utility(spec, conf) == reference
+        per_output = [float(_eval_batch(spec, conf.values[m])) for m in range(m_out)]
+        if np.isnan(per_output).any():
+            with pytest.raises(GuardError):
+                macro_utility(spec, conf)
+            continue
+        macro = 0.0
+        for m in range(m_out):
+            macro += weights[m] * per_output[m]
+        assert macro_utility(spec, conf) == macro
 
     # the former instance averaging: a dense one-hot (N, M, K, K) tensor folded over outputs
     dense = np.zeros((n, m_out, k, k))
@@ -116,42 +140,38 @@ def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, uniform, seed):
     n=st.integers(1, 4),
     m_out=st.integers(1, 3),
     k=st.integers(2, 3),
-    uniform=st.booleans(),
     kind=st.sampled_from(["micro_f1", "ordinal"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=2, m_out=2, k=2, uniform=False, kind="micro_f1", seed=0)
-def test_instance_oracle_with_probabilities_matches_per_cell_loop(
-    n, m_out, k, uniform, kind, seed
-):
+@example(n=2, m_out=2, k=2, kind="micro_f1", seed=0)
+def test_instance_oracle_matches_per_cell_loop_and_refuses_probabilities(n, m_out, k, kind, seed):
     if k ** (n * m_out) > 1024:
         return
     rng = np.random.default_rng(seed)
     labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
     probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
-    weights = np.full(m_out, 1.0 / m_out) if uniform else rng.dirichlet(np.ones(m_out))
     spec = getattr(MetricSpec, kind)(k)
 
     # every assignment in enumeration order, last cell fastest; the first maximizer wins
     best, best_preds = -np.inf, None
     for assignment in itertools.product(range(1, k + 1), repeat=n * m_out):
         preds = np.array(assignment).reshape(n, m_out)
-        # sample s's expected confusion: eta_s,m in column p_s,m, outputs added in order
+        # sample s's confusion: 1/M in cell (y_s,m, p_s,m), outputs added in order
         per = np.zeros((n, k, k))
         for s in range(n):
             for m in range(m_out):
-                for i in range(k):
-                    per[s, i, preds[s, m] - 1] += weights[m] * probs.values[s, m, i]
+                per[s, labels.values[s, m] - 1, preds[s, m] - 1] += 1.0 / m_out
         utility = _eval_batch(spec, per).mean()
         if utility > best:
             best, best_preds = utility, preds
 
-    avg = AveragingSpec("instance", output_weights=None if uniform else weights)
+    with pytest.raises(ValueError, match=r"instance averaging takes no probabilities \(--probs\)"):
+        brute_force_oracle(labels, probs, spec, "instance")
     if best_preds is None:
         with pytest.raises(GuardError):
-            brute_force_oracle(labels, probs, spec, avg)
+            brute_force_oracle(labels, None, spec, "instance")
         return
-    utility, preds = brute_force_oracle(labels, probs, spec, avg)
+    utility, preds = brute_force_oracle(labels, None, spec, "instance")
     assert utility == best
     np.testing.assert_array_equal(preds.values, best_preds)
 
