@@ -16,6 +16,12 @@ Candidates can be scored on the sample confusion of the evaluation labels
 under the supplied probabilities (``eval_mode="expected"``, exact when those
 probabilities are the true conditionals).
 
+Each iteration re-scores only the rows whose class can still change: the gaps
+between a row's class scores gamma*b_k - a_k (b = eta@B, a = eta@A) are linear
+in gamma, so a row that takes class c at both evaluated ends of the bracket,
+every other class behind by more than a margin far above the kernel's rounding,
+takes c everywhere between them.  Utilities still come from every prediction.
+
 ``brute_force_oracle`` is the exhaustive reference: it scores every
 deterministic prediction matrix, a chunk at a time, with the confusion kernel
 and the averaging arithmetic that ``eval`` applies to one of them, so its
@@ -37,7 +43,7 @@ from .confusion import (
     expected_confusion,
     sample_confusion,
 )
-from .decision import weighted_predict
+from .decision import _row_scores
 from .errors import GuardError
 from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, _eval_batch, loss_from_gamma
 
@@ -45,6 +51,7 @@ from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, _eval_batch
 MAX_ENUMERATION = 1_000_000
 # assignments scored per batch; larger chunks raise peak memory, not speed
 _CHUNK = 16384
+_SETTLED = 1e-9  # margin over the bracket's largest |gamma*B - A|; the kernel rounds at ~1e-15
 
 
 @dataclass(frozen=True)
@@ -137,27 +144,41 @@ def bisect_micro(
     one slice per output.
     """
     _check_bisect_inputs(labels, probs_hat, flm)
-    m_out, k = labels.n_outputs, flm.n_classes
+    n, m_out, k = probs_hat.values.shape
     lower, upper = _ratio_bracket(flm)
+    preds = np.empty(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
+    margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
 
-    def utility_of(loss: LossTensor) -> float:
-        preds = weighted_predict(loss, probs_hat)
+    def rescore(loss: LossTensor, span: float, active) -> np.ndarray:
+        """Score ``active`` rows into ``preds``; their classes, 0 with a runner-up in the margin
+        (gaps times ``span``, the max - min of the unrescaled loss)."""
+        scores = _row_scores(probs_hat.values.reshape(-1, k)[active], loss.values)
+        cls = np.argmin(scores, axis=1)
+        scores.partition(1, axis=1)  # each row's two lowest scores first, in order
+        clear = (scores[:, 1] - scores[:, 0]) * span > margin
+        preds[active] = cls + 1
+        return np.where(clear, preds[active], 0)
+
+    def utility_of() -> float:
+        pred_matrix = PredictionMatrix(preds.reshape(n, m_out), k)
         if cfg.eval_mode == "sample":
-            conf = sample_confusion(labels, preds)
-        else:
-            conf = expected_confusion(probs_hat, preds)
-        return flm.evaluate(micro_confusion(conf))
+            return flm.evaluate(micro_confusion(sample_confusion(labels, pred_matrix)))
+        return flm.evaluate(micro_confusion(expected_confusion(probs_hat, pred_matrix)))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
     best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
-    best_utility = utility_of(best_loss)
+    rescore(best_loss, 1.0, slice(None))
+    best_utility = utility_of()
 
+    active = slice(None)  # every row, until both ends of the bracket have been scored
+    ends = {}  # accepted -> rescore's classes of the active rows at that end
     records: list[IterationRecord] = []
     for _ in range(cfg.iterations):
         gamma = 0.5 * (lower + upper)
         cand_loss = loss_from_gamma(flm, gamma)
-        cand_utility = utility_of(cand_loss)
+        end = rescore(cand_loss, np.ptp(gamma * flm.denominator_B - flm.numerator_A), active)
+        cand_utility = utility_of()
         accepted = cand_utility >= gamma  # exact equality counts as success
         if accepted:
             lower = gamma
@@ -166,6 +187,11 @@ def bisect_micro(
         else:
             upper = gamma
         records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
+        ends[accepted] = end
+        if len(ends) == 2:
+            live = (ends[True] != ends[False]) | (ends[True] == 0)
+            active = np.flatnonzero(live) if isinstance(active, slice) else active[live]
+            ends = {side: classes[live] for side, classes in ends.items()}
     tiled = LossTensor(np.broadcast_to(best_loss.values, (m_out, k, k)))
     return tiled, BisectionTrace(records, best_loss.values, best_utility)
 

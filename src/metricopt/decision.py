@@ -17,6 +17,16 @@ from .confusion import ConfusionTensor, PredictionMatrix, ProbabilityField
 from .metrics import LossTensor
 
 
+def _row_scores(rows: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """``rows @ loss`` of (R, K) probability rows, by one gemm so a row has the same bits in any
+    batch: numpy sends one row to gemv and may loop itself over rows BLAS cannot read in place."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ loss)[:1]
+    if rows.strides[1] != rows.itemsize or rows.strides[0] < rows.shape[1] * rows.itemsize:
+        rows = np.ascontiguousarray(rows)
+    return rows @ loss
+
+
 def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMatrix:
     """Predict argmin_k <L[m][:, k], eta[n, m, :]> for every (sample, output).
 
@@ -25,16 +35,17 @@ def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMat
     decision that minimizes the expected weighted loss <L, C>.  A K x K loss
     is shared by every output.
     """
-    k = probs.n_classes
-    if loss.values.shape not in ((k, k), (probs.n_outputs, k, k)):
+    n, m_out, k = probs.values.shape
+    if loss.values.shape not in ((k, k), (m_out, k, k)):
         raise ValueError(
             f"loss shape {loss.values.shape} does not match "
-            f"probability field (M={probs.n_outputs}, K={k})"
+            f"probability field (M={m_out}, K={k})"
         )
-    scores = np.matmul(probs.values.transpose(1, 0, 2), loss.values)  # (M, N, K)
-    # argmin returns the first minimizer, which is the lowest class index.
-    preds = np.argmin(scores, axis=2).T + 1
-    return PredictionMatrix(preds, n_classes=k)
+    slices = loss.values.reshape(-1, k, k)
+    shared = (slices == slices[0]).all()  # then all N*M rows go in one batch
+    columns = [probs.values.reshape(-1, k)] if shared else probs.values.transpose(1, 0, 2)
+    preds = np.column_stack([np.argmin(_row_scores(c, s), axis=1) for c, s in zip(columns, slices)])
+    return PredictionMatrix(preds.reshape(n, m_out) + 1, n_classes=k)
 
 
 def expected_weighted_loss(loss: LossTensor, conf: ConfusionTensor) -> float:

@@ -420,7 +420,10 @@ def metric_from_config(config: dict, n_classes: int | None = None) -> MetricSpec
     if kind in ("weighted_exp", "polynomial"):
         if "gamma" not in params:
             raise ValueError(f"{kind} config requires params.gamma")
-        gamma = _number(params["gamma"], Real, "params.gamma", "a number")
+        try:
+            gamma = float(_number(params["gamma"], Real, "params.gamma", "a number"))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError("metric params.gamma is too large for a float") from None
         return getattr(MetricSpec, kind)(n_classes, gamma)
     # min_max is the one kind left
     return MetricSpec.min_max(n_classes)

@@ -168,6 +168,10 @@ class TestEval:
              "metric params.negative_class must be an integer, got True"),
             ('{"kind": "weighted_exp", "params": {"gamma": true}}',
              "metric params.gamma must be a number, got True"),
+            ('{"kind": "weighted_exp", "params": {"gamma": 1' + "0" * 400 + "}}",
+             "metric params.gamma is too large for a float"),
+            ('{"kind": "polynomial", "params": {"gamma": 1' + "0" * 400 + "}}",
+             "metric params.gamma is too large for a float"),
             ('{"kind": "weighted_exp", "params": {"gama": 0.5}}',
              "metric params.gama is not a parameter of weighted_exp"),
             ('{"kind": "ordinal", "params": {"gamma": 0.5}}',
@@ -181,7 +185,8 @@ class TestEval:
              "metric params.A is not a parameter of loss_based"),
         ],
         ids=["params-not-object", "gamma-null", "negative-class-list", "file-holds-number",
-             "negative-class-fraction", "negative-class-bool", "gamma-bool", "gamma-misspelt",
+             "negative-class-fraction", "negative-class-bool", "gamma-bool",
+             "weighted-exp-gamma-beyond-float", "polynomial-gamma-beyond-float", "gamma-misspelt",
              "param-on-kind-without-params", "gamma-on-micro-f1", "L-on-fractional-linear",
              "A-on-loss-based"],
     )

@@ -9,7 +9,7 @@ from metricopt.confusion import (
     ProbabilityField,
     expected_confusion,
 )
-from metricopt.decision import expected_weighted_loss, weighted_predict
+from metricopt.decision import _row_scores, expected_weighted_loss, weighted_predict
 from metricopt.metrics import LossTensor
 
 from conftest import random_labels, random_prob_rows
@@ -76,6 +76,29 @@ class TestWeightedPredict:
             np.testing.assert_array_equal(
                 weighted_predict(shared, probs).values, weighted_predict(tiled, probs).values
             )
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided-view"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared-loss", "per-output-loss"])
+    def test_row_kernel_does_not_depend_on_batch_size(self, rng, layout, stacked):
+        # numpy multiplies a single row through gemv and a strided view without
+        # BLAS; the kernel must give each row the bits of its full-field batch
+        n, m_out, k = 120, 3, 6
+        base = rng.dirichlet(np.full(k, 0.5), size=(2 * n, m_out + 1))
+        base.flags.writeable = False  # so the field keeps the view instead of copying it
+        values = np.ascontiguousarray(base[:n, :m_out]) if layout == "contiguous" else base[::2, 1:, ::-1]
+        probs = ProbabilityField(values)
+        assert probs.values.flags.c_contiguous == (layout == "contiguous")
+        loss = LossTensor(rng.random((m_out, k, k) if stacked else (k, k)))
+        full = weighted_predict(loss, probs).values
+        for m in range(m_out):
+            rows = probs.values[:, m]
+            slice_m = loss.values[m] if stacked else loss.values
+            all_scores = _row_scores(rows, slice_m)
+            for size in (1, 2, 3, 17, n):
+                idx = rng.choice(n, size=size, replace=False)
+                scores = _row_scores(rows[idx], slice_m)
+                assert scores.tobytes() == all_scores[idx].tobytes()
+                np.testing.assert_array_equal(np.argmin(scores, axis=1) + 1, full[idx, m])
 
     def test_output_decisions_are_slicewise(self, rng):
         # the prediction for output m depends only on slice m and eta^m

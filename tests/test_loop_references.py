@@ -1,7 +1,8 @@
 """Per-cell Python loops as references for the confusion builders, the
-averaged utilities, the weighted decision rule and the exhaustive oracle, and
-the plain allocating gradient step as the reference for the
-logistic-regression descent."""
+averaged utilities, the weighted decision rule and the exhaustive oracle; the
+plain allocating gradient step as the reference for the logistic-regression
+descent; and the bisection that re-scores every row at every gamma as the
+reference for the search, which re-scores only the rows that can change."""
 
 import itertools
 
@@ -11,7 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
-from metricopt.bisection import brute_force_oracle
+from metricopt.bisection import (
+    BisectionConfig,
+    BisectionTrace,
+    IterationRecord,
+    _check_bisect_inputs,
+    _ratio_bracket,
+    bisect_macro,
+    bisect_micro,
+    brute_force_oracle,
+)
 from metricopt.confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -23,7 +33,14 @@ from metricopt.confusion import (
 from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
 from metricopt.estimators import fit_lr
-from metricopt.metrics import LossTensor, MetricSpec, _eval_batch
+from metricopt.metrics import (
+    FractionalLinearMetric,
+    LossTensor,
+    MetricSpec,
+    _eval_batch,
+    as_fractional_linear,
+    loss_from_gamma,
+)
 
 # A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
 EPS = np.finfo(float).eps
@@ -234,3 +251,143 @@ def test_descent_matches_plain_step_at_benchmark_shape():
     labels = LabelMatrix(rng.integers(1, 11, size=(4000, 2)), 10)
     model = fit_lr(features, labels, iterations=500)
     assert np.array_equal(model.weights, plain_descent(features, labels, iterations=500))
+
+
+def full_rescoring_bisect_micro(
+    labels: LabelMatrix,
+    probs_hat: ProbabilityField,
+    flm: FractionalLinearMetric,
+    cfg: BisectionConfig,
+) -> tuple[LossTensor, BisectionTrace]:
+    """The micro search as it was before it skipped settled rows: every row is
+    re-scored by ``weighted_predict`` at every gamma."""
+    _check_bisect_inputs(labels, probs_hat, flm)
+    m_out, k = labels.n_outputs, flm.n_classes
+    lower, upper = _ratio_bracket(flm)
+
+    def utility_of(loss: LossTensor) -> float:
+        preds = weighted_predict(loss, probs_hat)
+        if cfg.eval_mode == "sample":
+            conf = sample_confusion(labels, preds)
+        else:
+            conf = expected_confusion(probs_hat, preds)
+        return flm.evaluate(micro_confusion(conf))
+
+    # Start from the argmax rule (0-1 loss) so the search never returns
+    # anything worse than the plain plug-in baseline.
+    best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
+    best_utility = utility_of(best_loss)
+
+    records: list[IterationRecord] = []
+    for _ in range(cfg.iterations):
+        gamma = 0.5 * (lower + upper)
+        cand_loss = loss_from_gamma(flm, gamma)
+        cand_utility = utility_of(cand_loss)
+        accepted = cand_utility >= gamma  # exact equality counts as success
+        if accepted:
+            lower = gamma
+            if cand_utility >= best_utility:
+                best_loss, best_utility = cand_loss, cand_utility
+        else:
+            upper = gamma
+        records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
+    tiled = LossTensor(np.broadcast_to(best_loss.values, (m_out, k, k)))
+    return tiled, BisectionTrace(records, best_loss.values, best_utility)
+
+
+def _probability_rows(rng, n, m_out, k, kind):
+    """(N, M, K) probabilities, drawn to make ties between classes and rows common."""
+    if kind == "onehot":
+        return np.eye(k)[rng.integers(0, k, size=(n, m_out))]
+    if kind == "rounded":  # multiples of 1/4 and 1/10
+        total = int(rng.choice([4, 10]))
+        return rng.multinomial(total, np.full(k, 1.0 / k), size=(n, m_out)) / total
+    rows = rng.dirichlet(np.full(k, rng.choice([0.2, 1.0, 5.0])), size=(n, m_out))
+    if kind == "duplicated":  # every row one of three
+        return rows.reshape(-1, k)[rng.integers(0, min(3, n * m_out), size=n * m_out)].reshape(
+            n, m_out, k
+        )
+    return rows
+
+
+def _search_metric(rng, k, kind):
+    if kind == "micro_f1":
+        return as_fractional_linear(MetricSpec.micro_f1(k, int(rng.integers(1, k + 1))))
+    if kind == "ordinal":
+        return as_fractional_linear(MetricSpec.ordinal(k))
+    # small integers tie many ratios and scores
+    return FractionalLinearMetric(rng.integers(0, 4, size=(k, k)), rng.integers(1, 4, size=(k, k)))
+
+
+def _bits(trace: BisectionTrace) -> str:
+    return repr(trace.to_dict())  # repr tells every float apart, -0.0 from 0.0 included
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m_out=st.integers(1, 4),
+    k=st.integers(2, 6),
+    iterations=st.integers(1, 70),
+    rows=st.sampled_from(["dirichlet", "onehot", "rounded", "duplicated"]),
+    metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
+    eval_mode=st.sampled_from(["sample", "expected"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m_out=1, k=2, iterations=70, rows="onehot", metric="micro_f1", eval_mode="sample",
+         seed=0)
+@example(n=40, m_out=4, k=6, iterations=70, rows="dirichlet", metric="micro_f1",
+         eval_mode="expected", seed=1)
+def test_search_matches_full_rescoring_bit_for_bit(
+    n, m_out, k, iterations, rows, metric, eval_mode, seed
+):
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
+    flm = _search_metric(rng, k, metric)
+    cfg = BisectionConfig(iterations, eval_mode)
+
+    def outcome(search, labels, probs):
+        try:
+            return search(labels, probs, flm, cfg)
+        except GuardError:  # a candidate with a degenerate denominator
+            return None
+
+    expected = outcome(full_rescoring_bisect_micro, labels, probs)
+    got = outcome(bisect_micro, labels, probs)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert _bits(got[1]) == _bits(expected[1])
+        assert got[0].values.tobytes() == expected[0].values.tobytes()
+
+    columns = [
+        (LabelMatrix(labels.values[:, m : m + 1], k), ProbabilityField(probs.values[:, m : m + 1]))
+        for m in range(m_out)
+    ]
+    expected = [outcome(full_rescoring_bisect_micro, *column) for column in columns]
+    if any(result is None for result in expected):
+        with pytest.raises(GuardError):
+            bisect_macro(labels, probs, flm, cfg)
+        return
+    loss, traces = bisect_macro(labels, probs, flm, cfg)
+    assert [_bits(t) for t in traces] == [_bits(t) for _, t in expected]
+    stacked = np.stack([t.final_loss for _, t in expected])
+    assert loss.values.tobytes() == stacked.tobytes()
+
+
+def test_search_rescores_rows_whose_tie_is_decided_by_rounding():
+    # For eta = (0.4, 0.2, 0.4) classes 1 and 2 score exactly alike at every gamma
+    # (eta@A and eta@B agree on both columns), and the kernel's rounding picks
+    # one or the other from gamma to gamma.  Such a row is never settled.  Only
+    # sample mode tells the two classes apart: their expected confusions are alike.
+    flm = FractionalLinearMetric(
+        np.array([[2, 3, 2], [3, 1, 1], [3, 3, 1]]), np.array([[3, 3, 2], [2, 2, 3], [2, 2, 2]])
+    )
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(3), size=(12, 1))
+    probs[:6, 0] = [0.4, 0.2, 0.4]
+    labels = LabelMatrix(rng.integers(1, 4, size=(12, 1)), 3)
+    cfg = BisectionConfig(70, "sample")
+    got = bisect_micro(labels, ProbabilityField(probs), flm, cfg)
+    expected = full_rescoring_bisect_micro(labels, ProbabilityField(probs), flm, cfg)
+    assert _bits(got[1]) == _bits(expected[1])

@@ -1,0 +1,88 @@
+"""Check that two source trees give byte-identical command outputs.
+
+    python3 tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT [--seeds 0 101 2]
+
+For each benchmark workload and seed, the inputs are drawn and written once
+with ``perfbench.workloads`` (from the repository this script sits in).  The
+workload's command line then runs under each tree as
+``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH`` and one
+BLAS thread, as the benchmark runs it.  ``preds.csv`` is compared byte for
+byte, and ``report.json`` field by field without ``wall_clock_s``.  Exits 1
+on any difference or failed command, 0 when every output matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+
+def run_tree(tree: Path, argv: list[str]) -> str | None:
+    """Run the command under ``tree``; the error text when it fails."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env.update({variable: BLAS_THREADS for variable in THREAD_VARIABLES})
+    done = subprocess.run([sys.executable, "-m", "metricopt.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
+
+
+def _bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def differences(parent_out: Path, change_out: Path) -> list[str]:
+    found = []
+    if _bytes(parent_out / "preds.csv") != _bytes(change_out / "preds.csv"):
+        found.append("preds.csv differs")
+    reports = [json.loads((out / "report.json").read_text()) for out in (parent_out, change_out)]
+    for report in reports:
+        report.pop("wall_clock_s", None)
+    for key in sorted(reports[0].keys() | reports[1].keys()):
+        if reports[0].get(key) != reports[1].get(key):
+            found.append(f"report field {key!r} differs")
+    return found
+
+
+def compare(workload, seed: int, trees: dict[str, Path], work: Path) -> list[str]:
+    data = workload.generate(workload.rng(seed))
+    files = {key: str(path) for key, path in workload.write(data, work).items()}
+    outs = {}
+    for side, tree in trees.items():
+        outs[side] = work / side
+        outs[side].mkdir()
+        error = run_tree(tree, workload.argv(files, str(outs[side]), seed))
+        if error is not None:
+            return [f"{side} tree failed: {error}"]
+    return differences(outs["parent"], outs["change"])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the reference source tree")
+    parser.add_argument("change", type=Path, help="root of the source tree under test")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 101, 2])
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    failed = False
+    for name, cls in WORKLOADS.items():
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as work:
+                found = compare(cls(), seed, trees, Path(work))
+            print(f"{name} seed {seed}: {'; '.join(found) or 'identical'}", flush=True)
+            failed |= bool(found)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
