@@ -154,8 +154,8 @@ def bisect_micro(
         (gaps times ``span``, the max - min of the unrescaled loss)."""
         scores = _row_scores(probs_hat.values.reshape(-1, k)[active], loss.values)
         cls = np.argmin(scores, axis=1)
-        scores.partition(1, axis=1)  # each row's two lowest scores first, in order
-        clear = (scores[:, 1] - scores[:, 0]) * span > margin
+        scores.partition(min(k, 2) - 1, axis=1)  # each row's two lowest scores first, in order
+        clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin  # one class: no runner-up
         preds[active] = cls + 1
         return np.where(clear, preds[active], 0)
 

@@ -35,17 +35,16 @@ def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMat
     decision that minimizes the expected weighted loss <L, C>.  A K x K loss
     is shared by every output.
     """
-    n, m_out, k = probs.values.shape
+    _, m_out, k = probs.values.shape
     if loss.values.shape not in ((k, k), (m_out, k, k)):
         raise ValueError(
             f"loss shape {loss.values.shape} does not match "
             f"probability field (M={m_out}, K={k})"
         )
-    slices = loss.values.reshape(-1, k, k)
-    shared = (slices == slices[0]).all()  # then all N*M rows go in one batch
-    columns = [probs.values.reshape(-1, k)] if shared else probs.values.transpose(1, 0, 2)
+    slices = np.broadcast_to(loss.values, (m_out, k, k))
+    columns = probs.values.transpose(1, 0, 2)
     preds = np.column_stack([np.argmin(_row_scores(c, s), axis=1) for c, s in zip(columns, slices)])
-    return PredictionMatrix(preds.reshape(n, m_out) + 1, n_classes=k)
+    return PredictionMatrix(preds + 1, n_classes=k)
 
 
 def expected_weighted_loss(loss: LossTensor, conf: ConfusionTensor) -> float:

@@ -100,6 +100,26 @@ class TestWeightedPredict:
                 assert scores.tobytes() == all_scores[idx].tobytes()
                 np.testing.assert_array_equal(np.argmin(scores, axis=1) + 1, full[idx, m])
 
+    def test_row_kernel_does_not_depend_on_batch_size_at_benchmark_size(self, rng):
+        # The search scores all N*M = 100k rows of the tune-probs field in one
+        # batch, then a few rows at a time; weighted_predict scores one output's
+        # strided rows.  A BLAS that picks its kernel by size must not change a bit.
+        n, m_out, k = 25_000, 4, 10
+        probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
+        loss = LossTensor(rng.random((k, k)))
+        rows = probs.values.reshape(-1, k)
+        all_scores = _row_scores(rows, loss.values)
+        for size in (1, 2, 3, 17):
+            idx = rng.choice(n * m_out, size=size, replace=False)
+            assert _row_scores(rows[idx], loss.values).tobytes() == all_scores[idx].tobytes()
+        by_output = all_scores.reshape(n, m_out, k)
+        for m in range(m_out):
+            assert _row_scores(probs.values[:, m], loss.values).tobytes() == (
+                by_output[:, m].tobytes()
+            )
+        full = weighted_predict(loss, probs).values
+        np.testing.assert_array_equal(np.argmin(by_output, axis=2) + 1, full)
+
     def test_output_decisions_are_slicewise(self, rng):
         # the prediction for output m depends only on slice m and eta^m
         probs = ProbabilityField(random_prob_rows(rng, 20, 3, 4))

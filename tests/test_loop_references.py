@@ -311,6 +311,8 @@ def _probability_rows(rng, n, m_out, k, kind):
 
 
 def _search_metric(rng, k, kind):
+    if k == 1:  # MetricSpec needs two classes; a ratio of 1x1 integers does not
+        kind = "integer_ratio"
     if kind == "micro_f1":
         return as_fractional_linear(MetricSpec.micro_f1(k, int(rng.integers(1, k + 1))))
     if kind == "ordinal":
@@ -327,7 +329,7 @@ def _bits(trace: BisectionTrace) -> str:
 @given(
     n=st.integers(1, 40),
     m_out=st.integers(1, 4),
-    k=st.integers(2, 6),
+    k=st.integers(1, 6),
     iterations=st.integers(1, 70),
     rows=st.sampled_from(["dirichlet", "onehot", "rounded", "duplicated"]),
     metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
@@ -338,6 +340,10 @@ def _bits(trace: BisectionTrace) -> str:
          seed=0)
 @example(n=40, m_out=4, k=6, iterations=70, rows="dirichlet", metric="micro_f1",
          eval_mode="expected", seed=1)
+@example(n=5, m_out=2, k=1, iterations=70, rows="dirichlet", metric="integer_ratio",
+         eval_mode="sample", seed=2)
+@example(n=5, m_out=2, k=1, iterations=70, rows="onehot", metric="integer_ratio",
+         eval_mode="expected", seed=3)
 def test_search_matches_full_rescoring_bit_for_bit(
     n, m_out, k, iterations, rows, metric, eval_mode, seed
 ):
