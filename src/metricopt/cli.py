@@ -32,7 +32,14 @@ from .confusion import (
 from .decision import weighted_predict
 from .errors import GuardError
 from .estimators import fit_lr, performance_ratio_grid, predict_proba
-from .fileio import read_features, read_labels, read_probs, write_predictions, write_probs
+from .fileio import (
+    _write_table,
+    read_features,
+    read_labels,
+    read_probs,
+    write_predictions,
+    write_probs,
+)
 from .metrics import (
     LossTensor,
     MetricSpec,
@@ -202,6 +209,8 @@ def cmd_postprocess(args) -> int:
         features = read_features(args.features)
         _aligned_labels(labels, args.labels, args.features, features.shape[0])
         fit_idx, eval_idx = _split_indices(labels.n_samples, _resolve_seed(args.seed))
+        if len(eval_idx) == 0:
+            raise ValueError(f"N={labels.n_samples} leaves the evaluation split empty")
         model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes))
         probs_full = predict_proba(model, features)
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
@@ -247,33 +256,18 @@ def _parse_list(text: str, kind=float) -> list:
     return [kind(part) for part in text.split(",") if part.strip()]
 
 
-def _grid_rows_for_c1(task) -> list[dict]:
-    c1, c2_values, n, seeds, d, k = task
-    return performance_ratio_grid([c1], c2_values, n, seeds, n_features=d, n_classes=k)
-
-
 def cmd_synth(args) -> int:
     c1_values = _parse_list(args.c1)
     c2_values = _parse_list(args.c2)
     seeds = _parse_list(args.seeds, int)
     if not c1_values or not c2_values or not seeds:
         raise ValueError("--c1, --c2 and --seeds must be non-empty")
-    tasks = [(c1, c2_values, args.n, seeds, args.features_dim, args.classes) for c1 in c1_values]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
-            chunks = list(pool.map(_grid_rows_for_c1, tasks))
-    else:
-        chunks = [_grid_rows_for_c1(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write("c1,c2,seed,utility_baseline,utility_consistent,pr\n")
-        for row in rows:
-            handle.write(
-                f"{row['c1']!r},{row['c2']!r},{row['seed']},"
-                f"{row['utility_baseline']!r},{row['utility_consistent']!r},{row['pr']!r}\n"
-            )
+    rows = performance_ratio_grid(
+        c1_values, c2_values, args.n, seeds, n_features=args.features_dim, n_classes=args.classes
+    )
+    # an object table keeps each seed an int, so it prints as 0, not 0.0
+    table = np.array([list(row.values()) for row in rows], dtype=object)
+    _write_table(args.out, [",".join(rows[0])], table)
     return 0
 
 
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seeds", required=True, help="comma-separated seeds")
     p_synth.add_argument("--features-dim", type=int, default=10)
     p_synth.add_argument("--classes", type=int, default=10)
-    p_synth.add_argument("--workers", type=int, default=1)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

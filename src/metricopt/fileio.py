@@ -16,8 +16,8 @@ import numpy as np
 
 from .confusion import LabelMatrix, ProbabilityField
 
-# rows formatted per write, so a large prediction file never builds all its strings at once
-_WRITE_ROWS = 1 << 10
+# cells formatted per write, so a large file never builds all its strings at once
+_WRITE_CELLS = 1 << 12
 
 
 def _open(path: str | Path):
@@ -69,8 +69,8 @@ def _read_table(handle, path, n_columns: int, dtype, first_line: int) -> np.ndar
     return values
 
 
-def read_labels(path: str | Path) -> LabelMatrix:
-    """Read a label (or prediction) matrix; K is the largest class seen."""
+def _read_headed(path: str | Path, dtype) -> np.ndarray:
+    """The read-only table under a one-line header of non-empty column names."""
     with _open(path) as handle:
         header = handle.readline()
         if not header:
@@ -78,17 +78,31 @@ def read_labels(path: str | Path) -> LabelMatrix:
         names = _cells(header)
         if not all(name.strip() for name in names):
             raise ValueError(f"{path}:1: malformed header {names!r}")
-        array = _read_table(handle, path, len(names), np.int64, first_line=2)
-    array.flags.writeable = False  # the matrix then holds this array, not a copy
+        array = _read_table(handle, path, len(names), dtype, first_line=2)
+    array.flags.writeable = False  # a matrix then holds this array, not a copy
+    return array
+
+
+def _write_table(path: str | Path, head_lines: list[str], table: np.ndarray) -> None:
+    """Write ``head_lines``, then each row of ``table``, each cell as the ``repr`` of
+    its Python value from ``tolist``: the shortest text that reads back the same."""
+    rows = max(1, _WRITE_CELLS // max(1, table.shape[1]))
+    with open(path, "w", newline="\n") as handle:
+        handle.write("".join(line + "\n" for line in head_lines))
+        for start in range(0, len(table), rows):
+            block = table[start : start + rows].tolist()
+            handle.write("\n".join(",".join(map(repr, row)) for row in block) + "\n")
+
+
+def read_labels(path: str | Path) -> LabelMatrix:
+    """Read a label (or prediction) matrix; K is the largest class seen."""
+    array = _read_headed(path, np.int64)
     return LabelMatrix(array, n_classes=int(array.max()))
 
 
 def write_predictions(path: str | Path, preds: LabelMatrix) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(f"y{m + 1}" for m in range(preds.n_outputs)) + "\n")
-        for start in range(0, preds.n_samples, _WRITE_ROWS):
-            block = preds.values[start : start + _WRITE_ROWS].astype(str).tolist()
-            handle.write("\n".join(map(",".join, block)) + "\n")
+    header = ",".join(f"y{m + 1}" for m in range(preds.n_outputs))
+    _write_table(path, [header], preds.values)
 
 
 def read_probs(path: str | Path) -> ProbabilityField:
@@ -112,25 +126,14 @@ def read_probs(path: str | Path) -> ProbabilityField:
 
 def write_probs(path: str | Path, probs: ProbabilityField) -> None:
     n, m_out, k = probs.values.shape
-    with open(path, "w", newline="\n") as handle:
-        handle.write(f"# M={m_out},K={k}\n")
-        handle.write(",".join(f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)) + "\n")
-        flat = probs.values.reshape(n, m_out * k)
-        for row in flat:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    header = ",".join(f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k))
+    _write_table(path, [f"# M={m_out},K={k}", header], probs.values.reshape(n, m_out * k))
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    with _open(path) as handle:
-        header = handle.readline()
-        if not header:
-            raise ValueError(f"{path}:1: empty file")
-        return _read_table(handle, path, len(_cells(header)), float, first_line=2)
+    return _read_headed(path, float)
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=float)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(f"x{d + 1}" for d in range(features.shape[1])) + "\n")
-        for row in features:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_table(path, [",".join(f"x{d + 1}" for d in range(features.shape[1]))], features)

@@ -430,6 +430,26 @@ class TestPostprocess:
     def test_more_feature_rows_than_labels_refused(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "features", 51)
 
+    def test_one_feature_row_refused_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        write_predictions(tmp_path / "labels.csv", LabelMatrix(np.array([[2]]), 2))
+        write_features(tmp_path / "features.csv", np.array([[0.5, -1.0]]))
+        fits = []
+        monkeypatch.setattr("metricopt.cli.fit_lr", lambda *args, **kwargs: fits.append(args))
+        preds_path = tmp_path / "final.csv"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--features", str(tmp_path / "features.csv"),
+                "--metric", "micro_f1",
+                "--preds", str(preds_path),
+            ]
+        )
+        assert code == 2
+        assert fits == []
+        assert not preds_path.exists()
+        assert "N=1 leaves the evaluation split empty" in capsys.readouterr().err
+
     def test_probability_row_mismatch_refused_for_linear_metric(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "probs", 45, metric="ordinal")
 
@@ -491,47 +511,6 @@ class TestSynth:
         assert main(args + ["--out", str(second)]) == 0
         assert len(first.read_text().strip().splitlines()) == 1 + 45
         assert first.read_bytes() == second.read_bytes()
-
-    def test_worker_pool_matches_serial(self, tmp_path):
-        base = [
-            "synth",
-            "--c1", "0.1,0.4",
-            "--c2", "0,1.0",
-            "--n", "120",
-            "--seeds", "0,1",
-            "--features-dim", "3",
-            "--classes", "3",
-        ]
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        assert main(base + ["--out", str(serial)]) == 0
-        assert main(base + ["--out", str(pooled), "--workers", "2"]) == 0
-        assert serial.read_bytes() == pooled.read_bytes()
-
-    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        args = ["synth", "--c2", "0", "--n", "60", "--seeds", "0",
-                "--features-dim", "2", "--classes", "2", "--workers", "8"]
-        assert main(args + ["--c1", "0.1", "--out", str(tmp_path / "one.csv")]) == 0
-        assert main(args + ["--c1", "0.1,0.2,0.3", "--out", str(tmp_path / "three.csv")]) == 0
-        assert requested == [1, 3]
 
 
 class TestOracle:

@@ -1,6 +1,6 @@
-"""CSV readers: round trips through the writers, line-numbered errors for
-corrupted files, the error messages of malformed headers, and the memory a
-large label file takes to read."""
+"""CSV readers and writers: round trips, the writers' text against per-cell
+reference loops, line-numbered errors for corrupted files, the error messages
+of malformed headers, and the memory a large label file takes to read."""
 
 import re
 import tempfile
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metricopt import fileio
+from metricopt import cli, fileio
 from metricopt.confusion import LabelMatrix, ProbabilityField
 from metricopt.fileio import (
     read_features,
@@ -100,8 +100,13 @@ class TestRoundTrip:
             path = Path(tmp) / "features.csv"
             write_features(path, features)
             back = read_features(path)
+        assert not back.flags.writeable
         assert back.shape == features.shape
         assert back.tobytes() == features.tobytes()
+
+
+# cells per write block; small sizes put block boundaries inside every file
+block_sizes = st.integers(1, 40)
 
 
 def _reference_predictions(values: np.ndarray) -> str:
@@ -111,16 +116,110 @@ def _reference_predictions(values: np.ndarray) -> str:
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows_per_block=st.integers(1, 5), k=st.integers(2, 120), **shapes)
-@example(rows_per_block=1 << 10, n=1, m_out=1, k=2, seed=0)
-def test_write_predictions_matches_per_cell_formatting(rows_per_block, n, m_out, k, seed):
+@given(cells_per_block=block_sizes, k=st.integers(2, 120), **shapes)
+@example(cells_per_block=1 << 12, n=1, m_out=1, k=2, seed=0)
+def test_write_predictions_matches_per_cell_formatting(cells_per_block, n, m_out, k, seed):
     values = np.random.default_rng(seed).integers(1, k + 1, size=(n, m_out))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        fileio, "_WRITE_ROWS", rows_per_block
+        fileio, "_WRITE_CELLS", cells_per_block
     ):
         path = Path(tmp) / "preds.csv"
         write_predictions(path, LabelMatrix(values, k))
         assert path.read_bytes() == _reference_predictions(values).encode()
+
+
+# per-cell reference writers: one Python repr per value, one write per line
+def _reference_write_probs(path, probs):
+    n, m_out, k = probs.values.shape
+    with open(path, "w", newline="\n") as handle:
+        handle.write(f"# M={m_out},K={k}\n")
+        handle.write(",".join(f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)) + "\n")
+        flat = probs.values.reshape(n, m_out * k)
+        for row in flat:
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _reference_write_features(path, features):
+    features = np.asarray(features, dtype=float)
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(f"x{d + 1}" for d in range(features.shape[1])) + "\n")
+        for row in features:
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _reference_write_synth(path, rows):
+    with open(path, "w", newline="\n") as handle:
+        handle.write("c1,c2,seed,utility_baseline,utility_consistent,pr\n")
+        for row in rows:
+            handle.write(
+                f"{row['c1']!r},{row['c2']!r},{row['seed']},"
+                f"{row['utility_baseline']!r},{row['utility_consistent']!r},{row['pr']!r}\n"
+            )
+
+
+# cells whose shortest text is signed, subnormal, or switches to exponent form
+SPECIAL = [-0.0, 5e-324, 1e16, 1e-05]
+float_cells = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL)
+
+
+def _same_file(write, reference, cells_per_block, value) -> None:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        fileio, "_WRITE_CELLS", cells_per_block
+    ):
+        written, expected = Path(tmp) / "written.csv", Path(tmp) / "expected.csv"
+        write(written, value)
+        reference(expected, value)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells_per_block=block_sizes, k=st.integers(4, 6), **shapes)
+@example(cells_per_block=1 << 12, n=1, m_out=1, k=4, seed=0)
+def test_write_probs_matches_per_cell_formatting(cells_per_block, n, m_out, k, seed):
+    values = _probs(np.random.default_rng(seed), n, m_out, k)
+    values[0, 0] = [-0.0, 5e-324, 1e-05, 0.99999] + [0.0] * (k - 4)
+    probs = ProbabilityField(values)
+    _same_file(write_probs, _reference_write_probs, cells_per_block, probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells_per_block=block_sizes,
+    features=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+        elements=float_cells,
+    ),
+)
+@example(cells_per_block=1 << 12, features=np.array([SPECIAL]))
+@example(cells_per_block=1, features=np.array([[np.inf], [-np.inf], [np.nan]]))
+def test_write_features_matches_per_cell_formatting(cells_per_block, features):
+    _same_file(write_features, _reference_write_features, cells_per_block, features)
+
+
+grid_rows = st.lists(
+    st.tuples(
+        float_cells, float_cells, st.integers(0, 2**32 - 1), float_cells, float_cells, float_cells
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells_per_block=block_sizes, cells=grid_rows)
+@example(cells_per_block=1 << 12, cells=[(0.05, 0.0, 0, *SPECIAL[1:])])
+@example(cells_per_block=1, cells=[(-0.0, 1e16, 7, 1.0, 1e-05, 5e-324)] * 3)
+def test_synth_grid_matches_per_cell_formatting(cells_per_block, cells):
+    names = ("c1", "c2", "seed", "utility_baseline", "utility_consistent", "pr")
+    rows = [dict(zip(names, row)) for row in cells]
+
+    def synth(path, rows):
+        argv = ["synth", "--c1", "0", "--c2", "0", "--n", "1", "--seeds", "0", "--out", str(path)]
+        with mock.patch.object(cli, "performance_ratio_grid", lambda *args, **kwargs: rows):
+            assert cli.main(argv) == 0
+
+    _same_file(synth, _reference_write_synth, cells_per_block, rows)
 
 
 CORRUPTIONS = {
@@ -226,12 +325,16 @@ class TestErrors:
         with pytest.raises(ValueError, match=re.escape(f"missing file: {path}")):
             KINDS[kind][1](path)
 
-    @pytest.mark.parametrize("header", ["y1,,y3", ",", "y1, "])
-    def test_malformed_label_header(self, tmp_path, header):
-        path = tmp_path / "labels.csv"
+    @pytest.mark.parametrize(
+        "kind, header",
+        [pytest.param("labels", header, id=header) for header in ["y1,,y3", ",", "y1, "]]
+        + [pytest.param("features", "x1,,x3", id="features-x1,,x3")],
+    )
+    def test_malformed_label_header(self, tmp_path, kind, header):
+        path = tmp_path / f"{kind}.csv"
         path.write_text(f"{header}\n1,1,1\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed header")):
-            read_labels(path)
+            KINDS[kind][1](path)
 
     @pytest.mark.parametrize("meta", ["# M=1", "# M=x,K=2", "# K=2,M="])
     def test_bad_metadata(self, tmp_path, meta):
