@@ -24,8 +24,8 @@ takes c everywhere between them.  Utilities still come from every prediction.
 
 ``brute_force_oracle`` is the exhaustive reference: it scores every
 deterministic prediction matrix, a chunk at a time, with the confusion kernel
-and the averaging arithmetic that ``eval`` applies to one of them, so its
-utility equals the evaluated utility of its predictions bit for bit.
+and the ``averaging.averaged`` arithmetic that ``eval`` applies to one of them,
+so its utility equals the evaluated utility of its predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -34,18 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import MODES, micro_confusion
+from .averaging import averaged, micro_confusion
 from .confusion import (
     LabelMatrix,
     PredictionMatrix,
     ProbabilityField,
+    _check_paired,
     _joint_counts,
+    _per_sample,
     expected_confusion,
     sample_confusion,
 )
 from .decision import _row_scores
 from .errors import GuardError
-from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, _eval_batch, loss_from_gamma
+from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, loss_from_gamma
 
 # brute_force_oracle refuses instances with more deterministic assignments.
 MAX_ENUMERATION = 1_000_000
@@ -119,16 +121,9 @@ def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
 def _check_bisect_inputs(
     labels: LabelMatrix, probs_hat: ProbabilityField, flm: FractionalLinearMetric
 ) -> None:
-    if labels.values.shape != probs_hat.values.shape[:2]:
-        raise ValueError(
-            f"labels shape {labels.values.shape} does not match probability field "
-            f"shape {probs_hat.values.shape}"
-        )
-    if labels.n_classes != probs_hat.n_classes or labels.n_classes != flm.n_classes:
-        raise ValueError(
-            f"class counts disagree: labels K={labels.n_classes}, "
-            f"probabilities K={probs_hat.n_classes}, metric K={flm.n_classes}"
-        )
+    _check_paired(labels, probs_hat)
+    if flm.n_classes != labels.n_classes:
+        raise ValueError(f"metric K={flm.n_classes} does not match labels K={labels.n_classes}")
 
 
 def bisect_micro(
@@ -216,37 +211,6 @@ def bisect_macro(
     return LossTensor(np.stack([t.final_loss for t in traces])), traces
 
 
-def _assignment_utilities(
-    preds: np.ndarray,
-    labels: LabelMatrix,
-    probs: ProbabilityField | None,
-    spec: MetricSpec,
-    mode: str,
-) -> np.ndarray:
-    """The averaged utility of each stacked (P, N, M) prediction matrix, by the
-    arithmetic ``eval`` uses on one of them."""
-    p, n, m_out = preds.shape
-    k = labels.n_classes
-    weights = np.full(m_out, 1.0 / m_out)
-    if mode in ("micro", "macro"):
-        # one kernel column per (assignment, output), as in sample_confusion
-        cols = preds.transpose(1, 0, 2).reshape(n, p * m_out)
-        if probs is None:
-            counts = _joint_counts(cols, k, true=np.tile(labels.values, p))
-        else:
-            counts = _joint_counts(cols, k, rows=np.tile(probs.values, (1, p, 1)))
-        conf = (counts / n).reshape(p, m_out, k, k)
-        if mode == "micro":
-            return _eval_batch(spec, np.einsum("m,pmij->pij", weights, conf))
-        # outputs added one by one, as macro_utility does
-        per_output = _eval_batch(spec, conf)
-        return sum(weights[m] * per_output[:, m] for m in range(m_out))
-    # one kernel column per (assignment, sample), as in per_sample_confusion
-    cols = preds.transpose(2, 0, 1).reshape(m_out, p * n)
-    counts = _joint_counts(cols, k, true=np.tile(labels.values.T, p), weights=weights[:, None])
-    return _eval_batch(spec, counts.reshape(p, n, k, k)).mean(axis=1)
-
-
 def brute_force_oracle(
     labels: LabelMatrix,
     probs: ProbabilityField | None,
@@ -262,8 +226,6 @@ def brute_force_oracle(
     maximizer in enumeration order (all class-1 predictions first, last cell
     varying fastest).
     """
-    if mode not in MODES:
-        raise ValueError(f"averaging mode must be one of {MODES}, got {mode!r}")
     if mode == "instance" and probs is not None:
         raise ValueError("instance averaging takes no probabilities (--probs), only labels")
     n, m_out = labels.values.shape
@@ -271,18 +233,26 @@ def brute_force_oracle(
     total = k ** (n * m_out)
     if total > MAX_ENUMERATION:
         raise GuardError(f"instance too large: K^(N*M) = {total} exceeds {MAX_ENUMERATION}")
-    if probs is not None and probs.values.shape != (n, m_out, k):
-        raise ValueError(
-            f"probability field shape {probs.values.shape} does not match labels "
-            f"(N={n}, M={m_out}, K={k})"
-        )
+    if probs is not None:
+        _check_paired(labels, probs)
 
     best_utility = -np.inf
     best_preds = None
     for start in range(0, total, _CHUNK):
         cells = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), (k,) * (n * m_out))
         preds = np.stack(cells, axis=1).reshape(-1, n, m_out) + 1
-        utilities = _assignment_utilities(preds, labels, probs, spec, mode)
+        p = len(preds)
+        # the confusions eval builds for each assignment, all counted in one kernel call
+        if mode == "instance":
+            confs = _per_sample(preds.reshape(-1, m_out), np.tile(labels.values, (p, 1)), k)
+        else:
+            # one kernel column per (assignment, output)
+            cols = preds.transpose(1, 0, 2).reshape(n, -1)
+            if probs is None:
+                confs = _joint_counts(cols, k, true=np.tile(labels.values, p)) / n
+            else:
+                confs = _joint_counts(cols, k, rows=np.tile(probs.values, (1, p, 1))) / n
+        utilities = averaged(spec, confs.reshape(p, -1, k, k), mode)
         utilities = np.where(np.isnan(utilities), -np.inf, utilities)
         local_best = int(np.argmax(utilities))
         if utilities[local_best] > best_utility:

@@ -155,13 +155,13 @@ def _utilities_for(
         "macro": lambda: macro_utility(spec, conf),
         "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds)),
     }
-    utilities = {requested: evaluators[requested]()}
+    utilities = {}
     for mode, evaluate in evaluators.items():
-        if mode == requested:
-            continue
         try:
             utilities[mode] = evaluate()
         except GuardError:
+            if mode == requested:
+                raise
             utilities[mode] = None
     return utilities
 
@@ -200,10 +200,21 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_postprocess(args) -> int:
     started = time.perf_counter()
+    cfg = BisectionConfig(iterations=args.iters)
     labels = read_labels(args.labels)
+    probs = None
     if args.probs is not None:
         probs = read_probs(args.probs)
         labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
+    # the metric is refused before any fit
+    config = _load_metric_config(args.metric)
+    spec = metric_from_config(config, labels.n_classes)
+    try:
+        flm = as_fractional_linear(spec)
+    except ValueError:
+        raise ValueError(f"bisection unsupported for this metric: {spec.kind}") from None
+
+    if probs is not None:
         labels_eval, probs_eval, probs_full = labels, probs, probs
     else:
         features = read_features(args.features)
@@ -216,13 +227,6 @@ def cmd_postprocess(args) -> int:
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
         probs_eval = ProbabilityField(probs_full.values[eval_idx])
 
-    config = _load_metric_config(args.metric)
-    spec = metric_from_config(config, labels.n_classes)
-    try:
-        flm = as_fractional_linear(spec)
-    except ValueError:
-        raise ValueError(f"bisection unsupported for this metric: {spec.kind}") from None
-
     trace_doc: dict | list | None
     if flm.is_linear:
         # constant gradient: the optimal loss is closed-form, no search needed
@@ -230,14 +234,12 @@ def cmd_postprocess(args) -> int:
         shared = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2)).values
         loss = LossTensor(np.broadcast_to(shared, (labels.n_outputs, k, k)))
         trace_doc = None
+    elif args.averaging == "micro":
+        loss, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
+        trace_doc = trace.to_dict()
     else:
-        cfg = BisectionConfig(iterations=args.iters)
-        if args.averaging == "micro":
-            loss, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
-            trace_doc = trace.to_dict()
-        else:
-            loss, traces = bisect_macro(labels_eval, probs_eval, flm, cfg)
-            trace_doc = [t.to_dict() for t in traces]
+        loss, traces = bisect_macro(labels_eval, probs_eval, flm, cfg)
+        trace_doc = [t.to_dict() for t in traces]
 
     preds = weighted_predict(loss, probs_full)
     if args.preds:

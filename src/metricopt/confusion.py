@@ -139,14 +139,12 @@ class ConfusionTensor:
         return self.values.shape[0]
 
 
-def _check_paired(labels: LabelMatrix, preds: PredictionMatrix) -> None:
-    if labels.values.shape != preds.values.shape:
+def _check_paired(a: LabelMatrix | ProbabilityField, b: LabelMatrix | ProbabilityField) -> None:
+    """Refuse two of labels, predictions and probabilities that disagree on N, M or K."""
+    dims = [(x.n_samples, x.n_outputs, x.n_classes) for x in (a, b)]
+    if dims[0] != dims[1]:
         raise ValueError(
-            f"labels shape {labels.values.shape} does not match predictions shape {preds.values.shape}"
-        )
-    if labels.n_classes != preds.n_classes:
-        raise ValueError(
-            f"labels use K={labels.n_classes} but predictions use K={preds.n_classes}"
+            f"{type(a).__name__} (N, M, K) = {dims[0]} does not match {type(b).__name__} {dims[1]}"
         )
 
 
@@ -155,7 +153,7 @@ def _joint_counts(
     n_classes: int,
     true: np.ndarray | None = None,
     rows: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
+    weights: float | np.ndarray | None = None,
 ) -> np.ndarray:
     """Joint (true, predicted) counts per column of ``pred``, shape (M, K, K).
 
@@ -202,9 +200,14 @@ def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.nda
     ``instance_utility`` consumes this array directly.
     """
     _check_paired(labels, preds)
-    weights = np.full((labels.n_outputs, 1), 1.0 / labels.n_outputs)
-    # each sample is one column of the kernel; its outputs are the rows
-    return _joint_counts(preds.values.T, labels.n_classes, true=labels.values.T, weights=weights)
+    return _per_sample(preds.values, labels.values, labels.n_classes)
+
+
+def _per_sample(pred: np.ndarray, true: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's cells of 1-based (N, M) classes weighted 1/M and added in
+    output order, shape (N, K, K)."""
+    # each row is one column of the kernel; its outputs are the rows
+    return _joint_counts(pred.T, n_classes, true=true.T, weights=1.0 / pred.shape[1])
 
 
 def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:
@@ -214,14 +217,6 @@ def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> Conf
     With one-hot probabilities equal to the labels this coincides with
     ``sample_confusion``.
     """
-    if probs.values.shape[:2] != preds.values.shape:
-        raise ValueError(
-            f"probability field shape {probs.values.shape} does not match predictions "
-            f"shape {preds.values.shape}"
-        )
-    if probs.n_classes != preds.n_classes:
-        raise ValueError(
-            f"probability field uses K={probs.n_classes} but predictions use K={preds.n_classes}"
-        )
+    _check_paired(probs, preds)
     counts = _joint_counts(preds.values, probs.n_classes, rows=probs.values)
     return ConfusionTensor(counts / probs.n_samples)

@@ -229,7 +229,7 @@ def _eval_batch(spec: MetricSpec, confs: np.ndarray) -> np.ndarray:
     """Evaluate the metric over stacked confusions of shape (..., K, K).
 
     No input validation; degenerate fractional denominators yield NaN instead
-    of raising so batch callers (the brute-force oracle) can skip them.
+    of raising, so ``averaging.averaged`` can mark them in a batch.
     """
     if spec.ratio is not None:
         return spec.ratio.evaluate_batch(confs)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
+from metricopt.averaging import (
+    MODES,
+    averaged,
+    instance_utility,
+    macro_utility,
+    micro_confusion,
+    micro_utility,
+)
 from metricopt.bisection import brute_force_oracle
 from metricopt.confusion import (
     ConfusionTensor,
@@ -10,7 +19,8 @@ from metricopt.confusion import (
     per_sample_confusion,
     sample_confusion,
 )
-from metricopt.metrics import MetricSpec, eval_metric
+from metricopt.errors import GuardError
+from metricopt.metrics import _KINDS, MetricSpec, eval_metric
 
 from conftest import random_confusion, random_labels
 
@@ -150,3 +160,71 @@ class TestOracleModes:
         labels = LabelMatrix(random_labels(rng, 2, 1, 2), 2)
         with pytest.raises(ValueError, match=r"one of \('micro', 'macro', 'instance'\)"):
             brute_force_oracle(labels, None, MetricSpec.ordinal(2), "median")
+
+
+def spec_of_kind(kind, k, rng):
+    if kind == "fractional_linear":
+        # zeros in B make degenerate denominators common
+        denominator = rng.random((k, k)) * (rng.random((k, k)) < 0.5)
+        return MetricSpec.fractional_linear(rng.random((k, k)), denominator)
+    if kind == "loss_based":
+        return MetricSpec.loss_based(rng.random((k, k)))
+    if kind in ("weighted_exp", "polynomial"):
+        return getattr(MetricSpec, kind)(k, 1.5)
+    return getattr(MetricSpec, kind)(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    n=st.integers(1, 5),
+    m_out=st.integers(1, 5),
+    k=st.integers(2, 3),
+    kind=st.sampled_from(_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=4, n=1, m_out=5, k=2, kind="micro_f1", seed=0)
+def test_averaged_is_each_members_utility(p, n, m_out, k, kind, seed):
+    """Over a stack of P confusions, ``averaged`` gives each member's utility
+    bit for bit, and NaN exactly where that utility raises GuardError."""
+    rng = np.random.default_rng(seed)
+    spec = spec_of_kind(kind, k, rng)
+    pairs = [
+        tuple(LabelMatrix(random_labels(rng, n, m_out, k), k) for _ in range(2)) for _ in range(p)
+    ]
+    members = {
+        "micro": [sample_confusion(*pair) for pair in pairs],
+        "macro": [sample_confusion(*pair) for pair in pairs],
+        "instance": [per_sample_confusion(*pair) for pair in pairs],
+    }
+    utility = {"micro": micro_utility, "macro": macro_utility, "instance": instance_utility}
+    for mode in MODES:
+        stack = np.stack([getattr(member, "values", member) for member in members[mode]])
+        got = averaged(spec, stack, mode)
+        assert got.shape == (p,)
+        for member, value in zip(members[mode], got):
+            try:
+                expected = utility[mode](spec, member)
+            except GuardError:
+                assert np.isnan(value)
+            else:
+                assert value == expected
+
+
+class TestAveraged:
+    def test_one_degenerate_output_leaves_macro_undefined(self):
+        perfect = np.diag([0.5, 0.5])
+        negative_only = np.array([[1.0, 0.0], [0.0, 0.0]])  # micro-F1's denominator vanishes
+        confs = np.stack([perfect, negative_only])
+        spec = MetricSpec.micro_f1(2)
+        assert np.isnan(averaged(spec, confs, "macro"))
+        micro = eval_metric(spec, 0.5 * perfect + 0.5 * negative_only)
+        assert averaged(spec, confs, "micro") == micro
+        with pytest.raises(GuardError, match="degenerate denominator"):
+            macro_utility(spec, ConfusionTensor(confs))
+
+    def test_confusion_of_another_class_count_refused(self):
+        confs = np.full((2, 3, 3), 1 / 9)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="does not match K=2"):
+                averaged(MetricSpec.ordinal(2), confs, mode)

@@ -143,7 +143,14 @@ class TestBisectMicro:
         labels = LabelMatrix(random_labels(rng, 5, 1, 2), 2)
         probs = ProbabilityField(random_prob_rows(rng, 5, 1, 3))
         flm = as_fractional_linear(MetricSpec.micro_f1(3))
-        with pytest.raises(ValueError, match="class counts disagree"):
+        with pytest.raises(ValueError, match="does not match"):
+            bisect_micro(labels, probs, flm, BisectionConfig())
+
+    def test_metric_class_count_mismatch_rejected(self, rng):
+        labels = LabelMatrix(random_labels(rng, 5, 1, 2), 2)
+        probs = ProbabilityField(random_prob_rows(rng, 5, 1, 2))
+        flm = as_fractional_linear(MetricSpec.micro_f1(3))
+        with pytest.raises(ValueError, match="metric K=3 does not match labels K=2"):
             bisect_micro(labels, probs, flm, BisectionConfig())
 
 

@@ -474,6 +474,57 @@ class TestPostprocess:
         assert message in capsys.readouterr().err
         assert not preds_path.exists()
 
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ("macro_f1", "bisection unsupported for this metric: macro_f1"),
+            ('{"kind": "micro_f1", "params": {"negative_clas": 1}}',
+             "metric params.negative_clas is not a parameter of micro_f1"),
+        ],
+        ids=["unsupported", "misspelt"],
+    )
+    def test_metric_refused_before_the_fit(
+        self, tmp_path, rng, capsys, monkeypatch, metric, message
+    ):
+        self._write_problem(tmp_path, rng)
+        write_features(tmp_path / "features.csv", rng.standard_normal((40, 2)))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_lr ran before the metric was checked")
+
+        monkeypatch.setattr("metricopt.cli.fit_lr", no_fit)
+        preds_path = tmp_path / "final.csv"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--features", str(tmp_path / "features.csv"),
+                "--metric", metric,
+                "--preds", str(preds_path),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not preds_path.exists()
+
+    @pytest.mark.parametrize("metric", ["ordinal", "micro_f1"])
+    def test_negative_iterations_refused(self, tmp_path, rng, capsys, metric):
+        self._write_problem(tmp_path, rng)
+        preds_path = tmp_path / "final.csv"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--probs", str(tmp_path / "probs.csv"),
+                "--metric", metric,
+                "--iters", "-3",
+                "--preds", str(preds_path),
+            ]
+        )
+        assert code == 2
+        assert "iterations must be at least 1" in capsys.readouterr().err
+        assert not preds_path.exists()
+
 
 class TestSynth:
     def test_degenerate_grid_gives_unit_ratio(self, tmp_path):

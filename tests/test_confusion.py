@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricopt.averaging import micro_confusion
+from metricopt.bisection import BisectionConfig, bisect_macro, bisect_micro, brute_force_oracle
 from metricopt.confusion import (
     ConfusionTensor,
     LabelMatrix,
@@ -15,6 +16,7 @@ from metricopt.confusion import (
     per_sample_confusion,
     sample_confusion,
 )
+from metricopt.metrics import MetricSpec
 
 from conftest import random_labels, random_prob_rows
 
@@ -197,3 +199,49 @@ class TestConvexityWitness:
             )
             np.testing.assert_allclose(blend.sum(axis=(1, 2)), 1.0, atol=1e-12)
             assert blend.min() >= 0.0 and blend.max() <= 1.0 + 1e-12
+
+
+# every caller of the one N/M/K check: (takes probabilities, call on labels and the other)
+PAIRED_CALLERS = {
+    "sample_confusion": (False, sample_confusion),
+    "per_sample_confusion": (False, per_sample_confusion),
+    "expected_confusion": (True, lambda labels, probs: expected_confusion(probs, labels)),
+    "bisect_micro": (
+        True,
+        lambda labels, probs: bisect_micro(
+            labels, probs, MetricSpec.micro_f1(labels.n_classes).ratio, BisectionConfig()
+        ),
+    ),
+    "bisect_macro": (
+        True,
+        lambda labels, probs: bisect_macro(
+            labels, probs, MetricSpec.micro_f1(labels.n_classes).ratio, BisectionConfig()
+        ),
+    ),
+    "brute_force_oracle": (
+        True,
+        lambda labels, probs: brute_force_oracle(
+            labels, probs, MetricSpec.micro_f1(labels.n_classes), "micro"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", ["N", "M", "K"])
+@pytest.mark.parametrize("caller", PAIRED_CALLERS)
+def test_mismatch_refused_before_counting(caller, dim, rng, monkeypatch):
+    def counting(*args, **kwargs):
+        raise AssertionError("counted before the N/M/K check")
+
+    for target in ("confusion._joint_counts", "bisection._joint_counts", "bisection._row_scores"):
+        monkeypatch.setattr(f"metricopt.{target}", counting)
+    n, m_out, k = 3, 2, 2
+    labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+    other = {"N": (n + 1, m_out, k), "M": (n, m_out + 1, k), "K": (n, m_out, k + 1)}[dim]
+    takes_probs, call = PAIRED_CALLERS[caller]
+    if takes_probs:
+        other = ProbabilityField(random_prob_rows(rng, *other))
+    else:
+        other = PredictionMatrix(random_labels(rng, *other), other[2])
+    with pytest.raises(ValueError, match="does not match"):
+        call(labels, other)

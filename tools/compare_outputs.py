@@ -7,8 +7,11 @@ with ``perfbench.workloads`` (from the repository this script sits in).  The
 workload's command line then runs under each tree as
 ``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH`` and one
 BLAS thread, as the benchmark runs it.  ``preds.csv`` is compared byte for
-byte, and ``report.json`` field by field without ``wall_clock_s``.  Exits 1
-on any difference or failed command, 0 when every output matches.
+byte, and ``report.json`` field by field without ``wall_clock_s``.  No
+workload runs ``oracle``, so the same comparison also covers it on a seeded
+N=5, M=2, K=3 fixture (3^10 assignments): micro, macro and instance averaging
+on the labels, and micro and macro with ``--probs``.  Exits 1 on any
+difference or failed command, 0 when every output matches.
 """
 
 from __future__ import annotations
@@ -21,11 +24,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
+
+from metricopt.confusion import LabelMatrix, ProbabilityField  # noqa: E402
+from metricopt.fileio import write_predictions, write_probs  # noqa: E402
+
+# (averaging, with --probs) for each oracle run
+ORACLE_CASES = [("micro", False), ("macro", False), ("instance", False), ("micro", True),
+                ("macro", True)]
 
 
 def run_tree(tree: Path, argv: list[str]) -> str | None:
@@ -54,17 +66,43 @@ def differences(parent_out: Path, change_out: Path) -> list[str]:
     return found
 
 
-def compare(workload, seed: int, trees: dict[str, Path], work: Path) -> list[str]:
-    data = workload.generate(workload.rng(seed))
-    files = {key: str(path) for key, path in workload.write(data, work).items()}
+def compare(argv_of, trees: dict[str, Path], work: Path) -> list[str]:
+    """Run ``argv_of(out_dir)`` under each tree and compare the outputs."""
     outs = {}
     for side, tree in trees.items():
         outs[side] = work / side
         outs[side].mkdir()
-        error = run_tree(tree, workload.argv(files, str(outs[side]), seed))
+        error = run_tree(tree, argv_of(str(outs[side])))
         if error is not None:
             return [f"{side} tree failed: {error}"]
     return differences(outs["parent"], outs["change"])
+
+
+def workload_case(workload, seed: int):
+    """Write the workload's inputs into a directory; its command line for an output directory."""
+    def prepare(work: Path):
+        data = workload.generate(workload.rng(seed))
+        files = {key: str(path) for key, path in workload.write(data, work).items()}
+        return lambda out_dir: workload.argv(files, out_dir, seed)
+    return prepare
+
+
+def oracle_case(mode: str, with_probs: bool, seed: int):
+    """As ``workload_case``, for one oracle run on the seeded fixture."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        n, m_out, k = 5, 2, 3
+        labels = rng.integers(1, k + 1, size=(n, m_out))
+        labels[0, 0] = k  # the file names class K, so the command sees K classes
+        write_predictions(work / "labels.csv", LabelMatrix(labels, k))
+        write_probs(work / "probs.csv", ProbabilityField(rng.dirichlet(np.ones(k), (n, m_out))))
+        argv = ["oracle", "--labels", str(work / "labels.csv"), "--metric", "micro_f1",
+                "--averaging", mode, "--seed", str(seed)]
+        if with_probs:
+            argv += ["--probs", str(work / "probs.csv")]
+        return lambda out_dir: argv + ["--out", f"{out_dir}/report.json",
+                                       "--preds", f"{out_dir}/preds.csv"]
+    return prepare
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,13 +112,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 101, 2])
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cases = [(f"{name} seed {seed}", workload_case(cls(), seed))
+             for name, cls in WORKLOADS.items() for seed in args.seeds]
+    cases += [(f"oracle {mode}{' --probs' * with_probs} seed {seed}",
+               oracle_case(mode, with_probs, seed))
+              for mode, with_probs in ORACLE_CASES for seed in args.seeds]
     failed = False
-    for name, cls in WORKLOADS.items():
-        for seed in args.seeds:
-            with tempfile.TemporaryDirectory() as work:
-                found = compare(cls(), seed, trees, Path(work))
-            print(f"{name} seed {seed}: {'; '.join(found) or 'identical'}", flush=True)
-            failed |= bool(found)
+    for label, prepare in cases:
+        with tempfile.TemporaryDirectory() as work:
+            found = compare(prepare(Path(work)), trees, Path(work))
+        print(f"{label}: {'; '.join(found) or 'identical'}", flush=True)
+        failed |= bool(found)
     return 1 if failed else 0
 
 
