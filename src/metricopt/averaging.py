@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .confusion import ConfusionTensor
-from .errors import GuardError
-from .metrics import MetricSpec, _eval_batch
+from .metrics import MetricSpec, _defined, _eval_batch
 
 MODES = ("micro", "macro", "instance")
 
@@ -57,18 +56,12 @@ def averaged(spec: MetricSpec, confs: np.ndarray, mode: str) -> np.ndarray:
     return total
 
 
-def _defined(value: np.ndarray, mode: str) -> float:
-    if np.isnan(value):
-        raise GuardError(f"degenerate denominator: {mode} utility undefined")
-    return float(value)
-
-
 def micro_utility(spec: MetricSpec, conf: ConfusionTensor) -> float:
-    return _defined(averaged(spec, conf.values, "micro"), "micro")
+    return _defined(averaged(spec, conf.values, "micro"), "micro utility undefined")
 
 
 def macro_utility(spec: MetricSpec, conf: ConfusionTensor) -> float:
-    return _defined(averaged(spec, conf.values, "macro"), "macro")
+    return _defined(averaged(spec, conf.values, "macro"), "macro utility undefined")
 
 
 def instance_utility(spec: MetricSpec, per_sample_confs: np.ndarray) -> float:
@@ -82,4 +75,4 @@ def instance_utility(spec: MetricSpec, per_sample_confs: np.ndarray) -> float:
         raise ValueError(f"per-sample confusions must have shape (N, K, K), got {confs.shape}")
     if not np.all(np.isfinite(confs)) or confs.min() < 0:
         raise ValueError("per-sample confusions must be finite and nonnegative")
-    return _defined(averaged(spec, confs, "instance"), "instance")
+    return _defined(averaged(spec, confs, "instance"), "instance utility undefined")

@@ -20,7 +20,9 @@ Each iteration re-scores only the rows whose class can still change: the gaps
 between a row's class scores gamma*b_k - a_k (b = eta@B, a = eta@A) are linear
 in gamma, so a row that takes class c at both evaluated ends of the bracket,
 every other class behind by more than a margin far above the kernel's rounding,
-takes c everywhere between them.  Utilities still come from every prediction.
+takes c everywhere between them.  Utilities still come from every prediction,
+counted with the confusion kernel as the oracle counts its chunks; the inputs
+are checked once, at entry.
 
 ``brute_force_oracle`` is the exhaustive reference: it scores every
 deterministic prediction matrix, a chunk at a time, with the confusion kernel
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import averaged, micro_confusion
+from .averaging import _micro, averaged
 from .confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -42,8 +44,6 @@ from .confusion import (
     _check_paired,
     _joint_counts,
     _per_sample,
-    expected_confusion,
-    sample_confusion,
 )
 from .decision import _row_scores
 from .errors import GuardError
@@ -155,10 +155,13 @@ def bisect_micro(
         return np.where(clear, preds[active], 0)
 
     def utility_of() -> float:
-        pred_matrix = PredictionMatrix(preds.reshape(n, m_out), k)
+        """The micro utility of ``preds``, counted as the oracle counts its chunks:
+        the same bits as ``sample_confusion``/``expected_confusion`` and ``micro_confusion``."""
         if cfg.eval_mode == "sample":
-            return flm.evaluate(micro_confusion(sample_confusion(labels, pred_matrix)))
-        return flm.evaluate(micro_confusion(expected_confusion(probs_hat, pred_matrix)))
+            counts = _joint_counts(preds.reshape(n, m_out), k, true=labels.values)
+        else:
+            counts = _joint_counts(preds.reshape(n, m_out), k, rows=probs_hat.values)
+        return flm.evaluate(_micro(counts / n))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.

@@ -179,6 +179,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     labels = read_labels(args.labels)
     preds_raw = read_labels(args.preds)
+    _aligned_labels(labels, args.labels, args.preds, preds_raw.n_samples)
     n_classes = max(labels.n_classes, preds_raw.n_classes)
     labels = LabelMatrix(labels.values, n_classes)
     preds = PredictionMatrix(preds_raw.values, n_classes)
@@ -295,6 +296,7 @@ def cmd_train_lr(args) -> int:
     started = time.perf_counter()
     features = read_features(args.features)
     labels = read_labels(args.labels)
+    _aligned_labels(labels, args.labels, args.features, features.shape[0])
     model = fit_lr(features, labels, iterations=args.iters)
     write_probs(args.out, predict_proba(model, features))
     # --out names the probability file, so the report goes to stdout

@@ -134,10 +134,6 @@ class ConfusionTensor:
             )
         object.__setattr__(self, "values", _readonly(values))
 
-    @property
-    def n_outputs(self) -> int:
-        return self.values.shape[0]
-
 
 def _check_paired(a: LabelMatrix | ProbabilityField, b: LabelMatrix | ProbabilityField) -> None:
     """Refuse two of labels, predictions and probabilities that disagree on N, M or K."""

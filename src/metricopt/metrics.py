@@ -21,8 +21,9 @@ value <A, C>/<B, C>; linear kinds take B = all-ones and value <A, C>, which
 equals the ratio on unit mass.  Each such MetricSpec is built with its
 FractionalLinearMetric, and ``FractionalLinearMetric.evaluate_batch`` is the
 one place that computes a ratio: the bisection's candidate scores, every
-averaged utility and the gradients all go through it.  The micro_f1 and
-loss_based expressions above hold on unit mass.
+averaged utility and the gradients all go through it.  ``_defined`` is the
+one place that turns an undefined (NaN) value into GuardError.  The micro_f1
+and loss_based expressions above hold on unit mass.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ _KINDS = (
     "loss_based",
 )
 _DIFFERENTIABLE_KINDS = tuple(k for k in _KINDS if k != "min_max")
+
+
+def _defined(value, what: str) -> float:
+    """``value`` as a float; a NaN, the mark of a degenerate denominator, is a
+    GuardError ``degenerate denominator: <what>``."""
+    value = float(value)
+    if np.isnan(value):
+        raise GuardError(f"degenerate denominator: {what}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,7 @@ class FractionalLinearMetric:
             return np.where(den >= DENOMINATOR_FLOOR, num / den, np.nan)
 
     def evaluate(self, conf: np.ndarray) -> float:
-        value = float(self.evaluate_batch(conf))
-        if np.isnan(value):
-            den = float(np.sum(self.denominator_B * np.asarray(conf, dtype=float)))
-            raise GuardError(
-                f"degenerate denominator: <B, C> = {den:.3e} below floor {DENOMINATOR_FLOOR:.1e}"
-            )
-        return value
+        return _defined(self.evaluate_batch(conf), f"<B, C> below floor {DENOMINATOR_FLOOR:.1e}")
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,7 @@ def eval_metric(spec: MetricSpec, conf: np.ndarray, *, check_mass: bool = True) 
     scale-invariant, keep their value.
     """
     conf = _validate_confusion(spec, conf, check_mass)
-    value = float(_eval_batch(spec, conf))
-    if np.isnan(value):
-        raise GuardError("degenerate denominator: metric undefined on this confusion")
-    return value
+    return _defined(_eval_batch(spec, conf), "metric undefined on this confusion")
 
 
 def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
@@ -299,11 +300,8 @@ def metric_gradient(spec: MetricSpec, conf: np.ndarray) -> np.ndarray:
     if flm is not None:
         if flm.is_linear:
             return np.array(flm.numerator_A)
-        value = float(flm.evaluate_batch(conf))
-        den = float(np.sum(flm.denominator_B * conf))
-        if np.isnan(value):
-            raise GuardError(f"degenerate denominator: <B, C> = {den:.3e}")
-        return (flm.numerator_A - value * flm.denominator_B) / den
+        value = flm.evaluate(conf)
+        return (flm.numerator_A - value * flm.denominator_B) / np.sum(flm.denominator_B * conf)
     if spec.kind == "polynomial":
         diag = np.diagonal(conf)
         return np.diag(-spec.gamma * (1.0 - diag) ** (spec.gamma - 1.0))

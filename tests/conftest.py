@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from metricopt.averaging import micro_confusion
+from metricopt.bisection import _ratio_bracket
+from metricopt.confusion import sample_confusion
+from metricopt.decision import weighted_predict
+from metricopt.errors import GuardError
+from metricopt.metrics import loss_from_gamma
+
 
 @pytest.fixture
 def rng():
@@ -24,3 +31,34 @@ def random_labels(rng, n_samples, n_outputs, n_classes):
 def random_prob_rows(rng, n_samples, n_outputs, n_classes):
     raw = rng.dirichlet(np.ones(n_classes), size=(n_samples, n_outputs))
     return raw
+
+
+def exact_family_best(labels, probs, flm):
+    """Best micro sample utility over every rule of the weighted family
+    ``gamma*B - A`` with gamma inside ``_ratio_bracket(flm)``.
+
+    Class k scores ``gamma*b_k - a_k`` in a row (a = eta@A, b = eta@B), so a
+    row's rule changes only where two of its classes cross, at
+    ``(a_j - a_c)/(b_j - b_c)``.  Between consecutive crossings of any row the
+    rule is one; its midpoint is scored with ``loss_from_gamma``,
+    ``weighted_predict`` and ``sample_confusion``.  The crossings themselves,
+    where a tie decides, are not scored.
+    """
+    lower, upper = _ratio_bracket(flm)
+    rows = probs.values.reshape(-1, flm.n_classes)
+    a, b = rows @ flm.numerator_A, rows @ flm.denominator_B
+    da = a[:, :, None] - a[:, None, :]
+    db = b[:, :, None] - b[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = (da / db)[db != 0]
+    inside = crossings[(crossings > lower) & (crossings < upper)]
+    ends = np.unique(np.concatenate([[lower, upper], inside]))
+    best = -np.inf
+    for gamma in 0.5 * (ends[:-1] + ends[1:]):
+        preds = weighted_predict(loss_from_gamma(flm, gamma), probs)
+        try:
+            utility = flm.evaluate(micro_confusion(sample_confusion(labels, preds)))
+        except GuardError:
+            continue
+        best = max(best, utility)
+    return best

@@ -36,7 +36,7 @@ from metricopt.metrics import (
     loss_from_gamma,
 )
 
-from conftest import random_labels, random_prob_rows
+from conftest import exact_family_best, random_labels, random_prob_rows
 
 
 def grouped_fixture():
@@ -49,22 +49,6 @@ def grouped_fixture():
     eta_b = np.array([0.25, 0.75])
     probs = np.array([eta_a] * 4 + [eta_b] * 4)[:, None, :]
     return LabelMatrix(labels, 2), ProbabilityField(probs)
-
-
-def gamma_grid_best(labels, probs, flm, grid_size=100_000):
-    """Best sample utility over a dense grid of candidate loss matrices."""
-    best = -np.inf
-    for gamma in np.linspace(0.0, 1.0, grid_size):
-        loss = loss_from_gamma(flm, gamma)
-        scores = np.einsum("lk,nml->nmk", loss.values, probs.values)
-        preds = PredictionMatrix(np.argmin(scores, axis=2) + 1, labels.n_classes)
-        conf = sample_confusion(labels, preds)
-        try:
-            utility = flm.evaluate(conf.values.mean(axis=0))
-        except GuardError:
-            continue
-        best = max(best, utility)
-    return best
 
 
 class TestConfig:
@@ -120,7 +104,7 @@ class TestBisectMicro:
         flm = as_fractional_linear(MetricSpec.micro_f1(2))
         iterations = 50
         loss, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=iterations))
-        oracle = gamma_grid_best(labels, probs, flm)
+        oracle = exact_family_best(labels, probs, flm)
         preds = weighted_predict(loss, probs)
         achieved = flm.evaluate(sample_confusion(labels, preds).values.mean(axis=0))
         assert achieved >= oracle - 2.0**-iterations - 1e-9

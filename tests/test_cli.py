@@ -143,16 +143,32 @@ class TestEval:
         preds = PredictionMatrix(np.array([[2], [2]]), 2)
         write_predictions(tmp_path / "labels.csv", labels)
         write_predictions(tmp_path / "preds.csv", preds)
+        metric = json.dumps({"kind": "micro_f1", "params": {"negative_class": 2}})
         code = main(
             [
                 "eval",
                 "--labels", str(tmp_path / "labels.csv"),
                 "--preds", str(tmp_path / "preds.csv"),
-                "--metric", json.dumps({"kind": "micro_f1", "params": {"negative_class": 2}}),
+                "--metric", metric,
             ]
         )
         assert code == 3
-        assert "degenerate denominator" in capsys.readouterr().err
+        assert "error: degenerate denominator: " in capsys.readouterr().err
+        # postprocess: the argmax baseline the search starts from predicts the negative class too
+        write_probs(tmp_path / "probs.csv", ProbabilityField(np.array([[[0.1, 0.9]], [[0.3, 0.7]]])))
+        final = tmp_path / "final.csv"
+        code = main(
+            [
+                "postprocess",
+                "--labels", str(tmp_path / "labels.csv"),
+                "--probs", str(tmp_path / "probs.csv"),
+                "--metric", metric,
+                "--preds", str(final),
+            ]
+        )
+        assert code == 3
+        assert "error: degenerate denominator: " in capsys.readouterr().err
+        assert not final.exists()
 
     @pytest.mark.parametrize(
         "metric, message",
@@ -426,6 +442,29 @@ class TestPostprocess:
 
     def test_fewer_feature_rows_than_labels_refused(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "features", 30)
+
+    def test_eval_prediction_row_mismatch_refused(self, tmp_path, capsys):
+        labels_path, preds_path = tmp_path / "labels.csv", tmp_path / "preds.csv"
+        write_predictions(labels_path, LabelMatrix(np.array([[1], [2], [1]]), 2))
+        write_predictions(preds_path, PredictionMatrix(np.array([[1], [2]]), 2))
+        code = main(
+            ["eval", "--labels", str(labels_path), "--preds", str(preds_path), "--metric", "micro_f1"]
+        )
+        assert code == 2
+        assert f"{preds_path} has 2 rows but {labels_path} has 3" in capsys.readouterr().err
+
+    def test_train_lr_feature_row_mismatch_refused(self, tmp_path, capsys):
+        labels_path, features_path = tmp_path / "labels.csv", tmp_path / "features.csv"
+        write_predictions(labels_path, LabelMatrix(np.array([[1], [2], [1]]), 2))
+        write_features(features_path, np.array([[0.5, -1.0], [1.5, 0.25]]))
+        out = tmp_path / "probs.csv"
+        code = main(
+            ["train-lr", "--features", str(features_path), "--labels", str(labels_path),
+             "--iters", "5", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert f"{features_path} has 2 rows but {labels_path} has 3" in capsys.readouterr().err
 
     def test_more_feature_rows_than_labels_refused(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "features", 51)

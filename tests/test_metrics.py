@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricopt.averaging import instance_utility, macro_utility, micro_utility
+from metricopt.confusion import ConfusionTensor
 from metricopt.errors import GuardError
 from metricopt.metrics import (
     FractionalLinearMetric,
@@ -102,9 +104,19 @@ class TestEvalValidation:
 
     def test_degenerate_denominator_guarded(self):
         conf = np.zeros((2, 2))
-        conf[0, 0] = 1.0  # all mass on the negative class
-        with pytest.raises(GuardError, match="degenerate denominator"):
-            eval_metric(MetricSpec.micro_f1(2), conf)
+        conf[0, 0] = 1.0  # all mass on the negative class: <B, C> = 0
+        spec = MetricSpec.micro_f1(2)
+        refusals = [
+            lambda: spec.ratio.evaluate(conf),
+            lambda: eval_metric(spec, conf),
+            lambda: metric_gradient(spec, conf),
+            lambda: micro_utility(spec, ConfusionTensor(conf[None])),
+            lambda: macro_utility(spec, ConfusionTensor(conf[None])),
+            lambda: instance_utility(spec, conf[None]),
+        ]
+        for refuse in refusals:
+            with pytest.raises(GuardError, match="^degenerate denominator: "):
+                refuse()
 
     def test_negative_entries_rejected(self):
         conf = np.array([[0.6, -0.1], [0.25, 0.25]])
