@@ -118,12 +118,22 @@ def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
+def tuning_bracket(flm: FractionalLinearMetric, n_classes: int) -> tuple[float, float]:
+    """The search's starting bracket for ``flm`` on labels of ``n_classes`` classes.
+
+    The one check of whether a metric can be tuned: a K other than the labels'
+    is a ValueError, and a metric with no valid bracket a GuardError.
+    """
+    if flm.n_classes != n_classes:
+        raise ValueError(f"metric K={flm.n_classes} does not match labels K={n_classes}")
+    return _ratio_bracket(flm)
+
+
 def _check_bisect_inputs(
     labels: LabelMatrix, probs_hat: ProbabilityField, flm: FractionalLinearMetric
-) -> None:
+) -> tuple[float, float]:
     _check_paired(labels, probs_hat)
-    if flm.n_classes != labels.n_classes:
-        raise ValueError(f"metric K={flm.n_classes} does not match labels K={labels.n_classes}")
+    return tuning_bracket(flm, labels.n_classes)
 
 
 def bisect_micro(
@@ -138,9 +148,8 @@ def bisect_micro(
     estimates at its points.  The returned loss repeats that K x K matrix as
     one slice per output.
     """
-    _check_bisect_inputs(labels, probs_hat, flm)
+    lower, upper = _check_bisect_inputs(labels, probs_hat, flm)
     n, m_out, k = probs_hat.values.shape
-    lower, upper = _ratio_bracket(flm)
     preds = np.empty(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .averaging import MODES, instance_utility, macro_utility, micro_utility
 from .bisection import BisectionConfig, bisect_macro, bisect_micro, brute_force_oracle
+from .bisection import tuning_bracket
 from .confusion import (
     ConfusionTensor,
     LabelMatrix,
@@ -40,13 +41,7 @@ from .fileio import (
     write_predictions,
     write_probs,
 )
-from .metrics import (
-    LossTensor,
-    MetricSpec,
-    as_fractional_linear,
-    loss_from_gradient,
-    metric_from_config,
-)
+from .metrics import MetricSpec, metric_from_config
 
 
 @dataclass
@@ -207,13 +202,12 @@ def cmd_postprocess(args) -> int:
     if args.probs is not None:
         probs = read_probs(args.probs)
         labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
-    # the metric is refused before any fit
+    # a metric the search cannot tune is refused before features are read or fit
     config = _load_metric_config(args.metric)
     spec = metric_from_config(config, labels.n_classes)
-    try:
-        flm = as_fractional_linear(spec)
-    except ValueError:
-        raise ValueError(f"bisection unsupported for this metric: {spec.kind}") from None
+    if spec.ratio is None:
+        raise ValueError(f"bisection unsupported for this metric: {spec.kind}")
+    tuning_bracket(spec.ratio, labels.n_classes)
 
     if probs is not None:
         labels_eval, probs_eval, probs_full = labels, probs, probs
@@ -228,18 +222,11 @@ def cmd_postprocess(args) -> int:
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
         probs_eval = ProbabilityField(probs_full.values[eval_idx])
 
-    trace_doc: dict | list | None
-    if flm.is_linear:
-        # constant gradient: the optimal loss is closed-form, no search needed
-        k = spec.n_classes
-        shared = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2)).values
-        loss = LossTensor(np.broadcast_to(shared, (labels.n_outputs, k, k)))
-        trace_doc = None
-    elif args.averaging == "micro":
-        loss, trace = bisect_micro(labels_eval, probs_eval, flm, cfg)
+    if args.averaging == "micro":
+        loss, trace = bisect_micro(labels_eval, probs_eval, spec.ratio, cfg)
         trace_doc = trace.to_dict()
     else:
-        loss, traces = bisect_macro(labels_eval, probs_eval, flm, cfg)
+        loss, traces = bisect_macro(labels_eval, probs_eval, spec.ratio, cfg)
         trace_doc = [t.to_dict() for t in traces]
 
     preds = weighted_predict(loss, probs_full)

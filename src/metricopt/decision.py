@@ -27,6 +27,13 @@ def _row_scores(rows: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return rows @ loss
 
 
+def _slices(loss: LossTensor, m_out: int, k: int, against: str) -> np.ndarray:
+    """The (M, K, K) slices of ``loss``; a K x K loss is shared by every output."""
+    if loss.values.shape not in ((k, k), (m_out, k, k)):
+        raise ValueError(f"loss shape {loss.values.shape} does not match {against}")
+    return np.broadcast_to(loss.values, (m_out, k, k))
+
+
 def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMatrix:
     """Predict argmin_k <L[m][:, k], eta[n, m, :]> for every (sample, output).
 
@@ -36,22 +43,15 @@ def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMat
     is shared by every output.
     """
     _, m_out, k = probs.values.shape
-    if loss.values.shape not in ((k, k), (m_out, k, k)):
-        raise ValueError(
-            f"loss shape {loss.values.shape} does not match "
-            f"probability field (M={m_out}, K={k})"
-        )
-    slices = np.broadcast_to(loss.values, (m_out, k, k))
+    slices = _slices(loss, m_out, k, f"probability field (M={m_out}, K={k})")
     columns = probs.values.transpose(1, 0, 2)
     preds = np.column_stack([np.argmin(_row_scores(c, s), axis=1) for c, s in zip(columns, slices)])
     return PredictionMatrix(preds + 1, n_classes=k)
 
 
 def expected_weighted_loss(loss: LossTensor, conf: ConfusionTensor) -> float:
-    """Inner product <L, C> summed over all (output, true, predicted) positions."""
-    if loss.values.shape != conf.values.shape:
-        raise ValueError(
-            f"loss tensor shape {loss.values.shape} does not match confusion shape "
-            f"{conf.values.shape}"
-        )
-    return float(np.sum(loss.values * conf.values))
+    """Inner product <L, C> summed over all (output, true, predicted) positions.
+    A K x K loss is shared by every output."""
+    m_out, k, _ = conf.values.shape
+    slices = _slices(loss, m_out, k, f"confusion shape {conf.values.shape}")
+    return float(np.sum(slices * conf.values))

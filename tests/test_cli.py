@@ -3,15 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import metricopt
+from metricopt.averaging import micro_utility
+from metricopt.bisection import _ratio_bracket
 from metricopt.cli import RunReport, _utilities_for, build_parser, main
 from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField, sample_confusion
+from metricopt.decision import weighted_predict
 from metricopt.fileio import (
     read_features,
     read_labels,
@@ -21,7 +27,7 @@ from metricopt.fileio import (
     write_probs,
 )
 
-from metricopt.metrics import MetricSpec, eval_metric
+from metricopt.metrics import LossTensor, MetricSpec, eval_metric, metric_from_config
 
 from conftest import random_labels, random_prob_rows
 
@@ -226,28 +232,6 @@ class TestPostprocess:
         write_predictions(tmp_path / "labels.csv", labels)
         write_probs(tmp_path / "probs.csv", probs)
         return labels, probs
-
-    def test_linear_metric_short_circuits(self, tmp_path, rng):
-        self._write_problem(tmp_path, rng)
-        out = tmp_path / "report.json"
-        code = main(
-            [
-                "postprocess",
-                "--labels", str(tmp_path / "labels.csv"),
-                "--probs", str(tmp_path / "probs.csv"),
-                "--metric", json.dumps({"kind": "weighted_exp", "params": {"gamma": 0.5}}),
-                "--preds", str(tmp_path / "final.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        report = RunReport.from_json(out.read_text())
-        assert report.trace is None
-        assert report.loss["M"] == 2
-        # closed form: rescaled 1 - diag(exp(-gamma * class))
-        raw = 1.0 - np.diag(np.exp(-0.5 * np.arange(1, 4)))
-        expected = (raw - raw.min()) / (raw.max() - raw.min())
-        np.testing.assert_allclose(report.loss["slices"][0], expected)
 
     def test_bisection_trace_has_requested_iterations(self, tmp_path, rng):
         self._write_problem(tmp_path, rng)
@@ -514,18 +498,25 @@ class TestPostprocess:
         assert not preds_path.exists()
 
     @pytest.mark.parametrize(
-        "metric, message",
+        "metric, exit_code, message",
         [
-            ("macro_f1", "bisection unsupported for this metric: macro_f1"),
-            ('{"kind": "micro_f1", "params": {"negative_clas": 1}}',
+            ("macro_f1", 2, "bisection unsupported for this metric: macro_f1"),
+            ('{"kind": "micro_f1", "params": {"negative_clas": 1}}', 2,
              "metric params.negative_clas is not a parameter of micro_f1"),
+            ('{"kind": "fractional_linear", "A": [[1, 0], [0, 1]], "B": [[1, -0.5], [0.5, 1]]}',
+             3, "bisection needs B >= 0"),
+            (json.dumps({"kind": "fractional_linear", "A": np.eye(3).tolist(),
+                         "B": np.ones((3, 3)).tolist()}),
+             2, "metric K=3 does not match labels K=2"),
+            (json.dumps({"kind": "loss_based", "L": (1 - np.eye(3)).tolist()}),
+             2, "metric K=3 does not match labels K=2"),
         ],
-        ids=["unsupported", "misspelt"],
+        ids=["unsupported", "misspelt", "no-bracket", "ratio-K", "loss-K"],
     )
     def test_metric_refused_before_the_fit(
-        self, tmp_path, rng, capsys, monkeypatch, metric, message
+        self, tmp_path, rng, capsys, monkeypatch, metric, exit_code, message
     ):
-        self._write_problem(tmp_path, rng)
+        self._write_problem(tmp_path, rng, k=2)
         write_features(tmp_path / "features.csv", rng.standard_normal((40, 2)))
 
         def no_fit(*args, **kwargs):
@@ -542,7 +533,7 @@ class TestPostprocess:
                 "--preds", str(preds_path),
             ]
         )
-        assert code == 2
+        assert code == exit_code
         assert message in capsys.readouterr().err
         assert not preds_path.exists()
 
@@ -563,6 +554,63 @@ class TestPostprocess:
         assert code == 2
         assert "iterations must be at least 1" in capsys.readouterr().err
         assert not preds_path.exists()
+
+
+def _ratio_metric(rng, kind, k):
+    """A document of the ratio-of-linear ``kind`` on K classes; a fractional_linear
+    one has B > 0, so its bracket is valid and its ratio defined everywhere."""
+    if kind == "fractional_linear":
+        return {"kind": kind, "A": rng.normal(size=(k, k)).tolist(),
+                "B": (rng.random((k, k)) + 0.1).tolist()}
+    if kind == "loss_based":
+        return {"kind": kind, "L": rng.random((k, k)).tolist()}
+    if kind == "weighted_exp":
+        return {"kind": kind, "params": {"gamma": float(rng.uniform(-2, 2))}}
+    return {"kind": kind}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    m_out=st.integers(1, 2),
+    k=st.integers(2, 4),
+    kind=st.sampled_from(["ordinal", "micro_f1", "weighted_exp", "fractional_linear",
+                          "loss_based"]),
+    averaging=st.sampled_from(["micro", "macro"]),
+    iters=st.integers(1, 50),
+)
+# the closed-form ordinal rule scored 0.7667 here, below the argmax rule's 0.8
+@example(seed=5, n=30, m_out=1, k=3, kind="ordinal", averaging="micro", iters=50)
+def test_tuned_rule_never_below_the_argmax_rule(seed, n, m_out, k, kind, averaging, iters):
+    rng = np.random.default_rng(seed)
+    eta = rng.dirichlet(np.ones(k), size=(n, m_out))
+    labels = (rng.random((n, m_out, 1)) >= eta.cumsum(-1)).sum(-1).clip(max=k - 1) + 1
+    noisy = eta * np.exp(0.8 * rng.standard_normal(eta.shape))
+    probs = ProbabilityField(noisy / noisy.sum(-1, keepdims=True))
+    config = _ratio_metric(rng, kind, k)
+    # micro-F1 is undefined on an output whose labels are all the negative class 1
+    assume(kind != "micro_f1" or (labels != 1).any(axis=0).all())
+    with tempfile.TemporaryDirectory() as tmp:
+        write_predictions(f"{tmp}/labels.csv", LabelMatrix(labels, k))
+        write_probs(f"{tmp}/probs.csv", probs)
+        code = main(["postprocess", "--labels", f"{tmp}/labels.csv", "--probs", f"{tmp}/probs.csv",
+                     "--metric", json.dumps(config), "--averaging", averaging,
+                     "--iters", str(iters), "--out", f"{tmp}/report.json"])
+        assert code == 0
+        report = RunReport.from_json(Path(f"{tmp}/report.json").read_text())
+    assert report.trace is not None
+    spec = metric_from_config(config, k)
+    lower, upper = _ratio_bracket(spec.ratio)
+    slack = 2.0**-iters * (upper - lower)
+    argmax_preds = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
+    argmax_conf = sample_confusion(LabelMatrix(labels, k), argmax_preds)
+    if averaging == "micro":
+        assert report.utilities["micro"] >= micro_utility(spec, argmax_conf) - slack
+    else:
+        assert len(report.trace) == m_out
+        for tuned, argmax in zip(report.confusion, argmax_conf.values):
+            assert eval_metric(spec, np.array(tuned)) >= eval_metric(spec, argmax) - slack
 
 
 class TestSynth:

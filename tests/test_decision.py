@@ -8,6 +8,7 @@ from metricopt.confusion import (
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
+    sample_confusion,
 )
 from metricopt.decision import _row_scores, expected_weighted_loss, weighted_predict
 from metricopt.metrics import LossTensor
@@ -175,6 +176,27 @@ class TestExpectedWeightedLoss:
                 for j in range(3):
                     by_hand += loss.values[m, i, j] * conf.values[m, i, j]
         assert expected_weighted_loss(loss, conf) == pytest.approx(by_hand, abs=1e-14)
+
+    @staticmethod
+    def _two_output_confusion(rng):
+        labels = LabelMatrix(random_labels(rng, 8, 2, 3), 3)
+        return sample_confusion(labels, PredictionMatrix(random_labels(rng, 8, 2, 3), 3))
+
+    def test_shared_matrix_equals_its_tiled_stack(self, rng):
+        conf = self._two_output_confusion(rng)
+        shared = rng.random((3, 3))
+        tiled = expected_weighted_loss(LossTensor(np.broadcast_to(shared, (2, 3, 3))), conf)
+        assert expected_weighted_loss(LossTensor(shared), conf) == tiled
+        # the 0-1 loss sums the two outputs' error rates
+        assert expected_weighted_loss(zero_one_loss(3), conf) == pytest.approx(
+            2 - np.trace(conf.values, axis1=1, axis2=2).sum()
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 3, 3), (2, 2), (2, 2, 2)], ids=str)
+    def test_other_loss_shapes_refused(self, rng, shape):
+        conf = self._two_output_confusion(rng)
+        with pytest.raises(ValueError, match="does not match confusion shape"):
+            expected_weighted_loss(LossTensor(np.zeros(shape)), conf)
 
 
 class TestOptimalityOnKnownProbabilities:

@@ -8,10 +8,12 @@ workload's command line then runs under each tree as
 ``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH`` and one
 BLAS thread, as the benchmark runs it.  ``preds.csv`` is compared byte for
 byte, and ``report.json`` field by field without ``wall_clock_s``.  No
-workload runs ``oracle``, so the same comparison also covers it on a seeded
-N=5, M=2, K=3 fixture (3^10 assignments): micro, macro and instance averaging
-on the labels, and micro and macro with ``--probs``.  Exits 1 on any
-difference or failed command, 0 when every output matches.
+workload runs ``oracle`` or a linear metric, so the same comparison also covers
+both on a seeded N=5, M=2, K=3 fixture: ``oracle`` on micro-F1 (3^10
+assignments) with micro, macro and instance averaging on the labels, and micro
+and macro with ``--probs``; and ``postprocess --probs`` on ordinal, micro and
+macro.  Exits 1 on any difference or failed command, 0 when every output
+matches.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from metricopt.confusion import LabelMatrix, ProbabilityField  # noqa: E402
 from metricopt.fileio import write_predictions, write_probs  # noqa: E402
 
-# (averaging, with --probs) for each oracle run
-ORACLE_CASES = [("micro", False), ("macro", False), ("instance", False), ("micro", True),
-                ("macro", True)]
+# (command, metric, averaging, with --probs) for each run on the small fixture
+SMALL_CASES = [("oracle", "micro_f1", "micro", False), ("oracle", "micro_f1", "macro", False),
+               ("oracle", "micro_f1", "instance", False), ("oracle", "micro_f1", "micro", True),
+               ("oracle", "micro_f1", "macro", True), ("postprocess", "ordinal", "micro", True),
+               ("postprocess", "ordinal", "macro", True)]
 
 
 def run_tree(tree: Path, argv: list[str]) -> str | None:
@@ -87,8 +91,8 @@ def workload_case(workload, seed: int):
     return prepare
 
 
-def oracle_case(mode: str, with_probs: bool, seed: int):
-    """As ``workload_case``, for one oracle run on the seeded fixture."""
+def small_case(command: str, metric: str, mode: str, with_probs: bool, seed: int):
+    """As ``workload_case``, for one run of ``command`` on the seeded fixture."""
     def prepare(work: Path):
         rng = np.random.default_rng(seed)
         n, m_out, k = 5, 2, 3
@@ -96,7 +100,7 @@ def oracle_case(mode: str, with_probs: bool, seed: int):
         labels[0, 0] = k  # the file names class K, so the command sees K classes
         write_predictions(work / "labels.csv", LabelMatrix(labels, k))
         write_probs(work / "probs.csv", ProbabilityField(rng.dirichlet(np.ones(k), (n, m_out))))
-        argv = ["oracle", "--labels", str(work / "labels.csv"), "--metric", "micro_f1",
+        argv = [command, "--labels", str(work / "labels.csv"), "--metric", metric,
                 "--averaging", mode, "--seed", str(seed)]
         if with_probs:
             argv += ["--probs", str(work / "probs.csv")]
@@ -114,9 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     cases = [(f"{name} seed {seed}", workload_case(cls(), seed))
              for name, cls in WORKLOADS.items() for seed in args.seeds]
-    cases += [(f"oracle {mode}{' --probs' * with_probs} seed {seed}",
-               oracle_case(mode, with_probs, seed))
-              for mode, with_probs in ORACLE_CASES for seed in args.seeds]
+    cases += [(f"{command} {metric} {mode}{' --probs' * with_probs} seed {seed}",
+               small_case(command, metric, mode, with_probs, seed))
+              for command, metric, mode, with_probs in SMALL_CASES for seed in args.seeds]
     failed = False
     for label, prepare in cases:
         with tempfile.TemporaryDirectory() as work:
