@@ -3,17 +3,25 @@
 Each mode gives the M outputs equal weight 1/M.  Micro averages the confusion
 slices first and applies the metric once; macro applies the metric per output
 and averages the scores; instance applies the metric to each sample's
-output-averaged confusion (``confusion.per_sample_confusion`` builds them, so
-``instance_utility`` takes them as an (N, K, K) array) and averages over
-samples.  All three coincide exactly for linear metrics.  ``averaged`` is
-that arithmetic over stacked confusions, for ``eval`` and the oracle alike.
+output-averaged confusion (the matrices ``confusion.per_sample_confusion``
+builds) and averages over samples.  All three coincide exactly for linear
+metrics.  ``averaged`` is that arithmetic over stacked confusions, for
+``eval`` and the oracle alike; ``instance_utility`` builds and scores the
+per-sample confusions a block of rows at a time, so it never holds all N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .confusion import ConfusionTensor
+from .confusion import (
+    ConfusionTensor,
+    LabelMatrix,
+    PredictionMatrix,
+    _check_paired,
+    _per_sample,
+    _row_blocks,
+)
 from .metrics import MetricSpec, _defined, _eval_batch
 
 MODES = ("micro", "macro", "instance")
@@ -64,15 +72,19 @@ def macro_utility(spec: MetricSpec, conf: ConfusionTensor) -> float:
     return _defined(averaged(spec, conf.values, "macro"), "macro utility undefined")
 
 
-def instance_utility(spec: MetricSpec, per_sample_confs: np.ndarray) -> float:
-    """Average of the metric over per-sample confusions.
+def instance_utility(spec: MetricSpec, labels: LabelMatrix, preds: PredictionMatrix) -> float:
+    """Average of the metric over the samples' output-averaged confusions.
 
-    ``per_sample_confs`` has shape (N, K, K): each sample's confusion is the
-    mean of its output cells, as ``per_sample_confusion`` builds it.
+    Each block of rows is built with ``confusion._per_sample`` and scored with
+    ``_eval_batch``, so the value is bit for bit the instance mode of
+    ``averaged`` over ``per_sample_confusion(labels, preds)``, with at most one
+    block of (K, K) confusions held at a time.
     """
-    confs = np.asarray(per_sample_confs, dtype=float)
-    if confs.ndim != 3 or confs.shape[1] != confs.shape[2]:
-        raise ValueError(f"per-sample confusions must have shape (N, K, K), got {confs.shape}")
-    if not np.all(np.isfinite(confs)) or confs.min() < 0:
-        raise ValueError("per-sample confusions must be finite and nonnegative")
-    return _defined(averaged(spec, confs, "instance"), "instance utility undefined")
+    _check_paired(labels, preds)
+    k = spec.n_classes
+    if labels.n_classes != k:
+        raise ValueError(f"labels K={labels.n_classes} does not match metric K={k}")
+    values = np.empty(labels.n_samples)
+    for rows in _row_blocks(labels.n_samples, k * k):
+        values[rows] = _eval_batch(spec, _per_sample(preds.values[rows], labels.values[rows], k))
+    return _defined(values.mean(), "instance utility undefined")

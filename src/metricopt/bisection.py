@@ -20,9 +20,12 @@ Each iteration re-scores only the rows whose class can still change: the gaps
 between a row's class scores gamma*b_k - a_k (b = eta@B, a = eta@A) are linear
 in gamma, so a row that takes class c at both evaluated ends of the bracket,
 every other class behind by more than a margin far above the kernel's rounding,
-takes c everywhere between them.  Utilities still come from every prediction,
-counted with the confusion kernel as the oracle counts its chunks; the inputs
-are checked once, at entry.
+takes c everywhere between them.  Rows are scored a block at a time
+(``confusion._row_blocks``), so no (N*M, K) score array is held.  Utilities
+still come from every prediction, counted with the confusion kernel as the
+oracle counts its chunks, except that a candidate changing no class keeps the
+previous candidate's utility: its predictions, and so their count, are the
+same.  The inputs are checked once, at entry.
 
 ``brute_force_oracle`` is the exhaustive reference: it scores every
 deterministic prediction matrix, a chunk at a time, with the confusion kernel
@@ -44,6 +47,7 @@ from .confusion import (
     _check_paired,
     _joint_counts,
     _per_sample,
+    _row_blocks,
 )
 from .decision import _row_scores
 from .errors import GuardError
@@ -150,18 +154,28 @@ def bisect_micro(
     """
     lower, upper = _check_bisect_inputs(labels, probs_hat, flm)
     n, m_out, k = probs_hat.values.shape
-    preds = np.empty(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
+    flat = probs_hat.values.reshape(-1, k)  # row n*M + m
+    preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
 
-    def rescore(loss: LossTensor, span: float, active) -> np.ndarray:
-        """Score ``active`` rows into ``preds``; their classes, 0 with a runner-up in the margin
-        (gaps times ``span``, the max - min of the unrescaled loss)."""
-        scores = _row_scores(probs_hat.values.reshape(-1, k)[active], loss.values)
-        cls = np.argmin(scores, axis=1)
-        scores.partition(min(k, 2) - 1, axis=1)  # each row's two lowest scores first, in order
-        clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin  # one class: no runner-up
-        preds[active] = cls + 1
-        return np.where(clear, preds[active], 0)
+    def rescore(loss: LossTensor, span: float, active) -> tuple[np.ndarray, bool]:
+        """Score ``active`` rows into ``preds``, a block at a time.  Returns their classes, 0 with
+        a runner-up in the margin (gaps times ``span``, the max - min of the unrescaled loss),
+        and whether any of them changed class."""
+        size = len(flat) if isinstance(active, slice) else len(active)
+        end = np.empty(size, dtype=preds.dtype)
+        changed = False
+        for block in _row_blocks(size, k):
+            picked = block if isinstance(active, slice) else active[block]
+            scores = _row_scores(flat[picked], loss.values)
+            cls = np.argmin(scores, axis=1) + 1
+            scores.partition(min(k, 2) - 1, axis=1)  # each row's two lowest scores first, in order
+            # one class has no runner-up
+            clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin
+            changed = changed or not np.array_equal(preds[picked], cls)
+            preds[picked] = cls
+            end[block] = np.where(clear, cls, 0)
+        return end, changed
 
     def utility_of() -> float:
         """The micro utility of ``preds``, counted as the oracle counts its chunks:
@@ -176,7 +190,7 @@ def bisect_micro(
     # anything worse than the plain plug-in baseline.
     best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
     rescore(best_loss, 1.0, slice(None))
-    best_utility = utility_of()
+    best_utility = cand_utility = utility_of()
 
     active = slice(None)  # every row, until both ends of the bracket have been scored
     ends = {}  # accepted -> rescore's classes of the active rows at that end
@@ -184,8 +198,10 @@ def bisect_micro(
     for _ in range(cfg.iterations):
         gamma = 0.5 * (lower + upper)
         cand_loss = loss_from_gamma(flm, gamma)
-        end = rescore(cand_loss, np.ptp(gamma * flm.denominator_B - flm.numerator_A), active)
-        cand_utility = utility_of()
+        span = np.ptp(gamma * flm.denominator_B - flm.numerator_A)
+        end, changed = rescore(cand_loss, span, active)
+        if changed:  # otherwise the predictions, and so their utility, are the previous candidate's
+            cand_utility = utility_of()
         accepted = cand_utility >= gamma  # exact equality counts as success
         if accepted:
             lower = gamma

@@ -27,7 +27,7 @@ from .confusion import (
     LabelMatrix,
     PredictionMatrix,
     ProbabilityField,
-    per_sample_confusion,
+    per_sample_confusion,  # noqa: F401  no command builds it; perfbench/spans.py wraps this name
     sample_confusion,
 )
 from .decision import weighted_predict
@@ -148,7 +148,7 @@ def _utilities_for(
     evaluators = {
         "micro": lambda: micro_utility(spec, conf),
         "macro": lambda: macro_utility(spec, conf),
-        "instance": lambda: instance_utility(spec, per_sample_confusion(labels, preds)),
+        "instance": lambda: instance_utility(spec, labels, preds),
     }
     utilities = {}
     for mode, evaluate in evaluators.items():

@@ -15,6 +15,15 @@ import numpy as np
 
 # Per-row / per-slice mass must match 1 this tightly at construction time.
 SIMPLEX_ATOL = 1e-9
+# float64 cells per row block: a loop over rows holds this many at a time, not N rows' worth
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Slices covering ``range(n_rows)`` in order, each of at least one row and of at
+    most ``_BLOCK_CELLS`` cells when a row holds ``width`` cells."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -192,8 +201,8 @@ def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.nda
 
     Sample n's matrix is ``sum_m (1/M) e_{y_nm} e_{p_nm}^T``: at most M
     nonzero cells, summed in output order.  Averaging over samples reproduces
-    ``micro_confusion(sample_confusion(labels, preds))``;
-    ``instance_utility`` consumes this array directly.
+    ``micro_confusion(sample_confusion(labels, preds))``.
+    ``instance_utility`` builds the same matrices a block of rows at a time.
     """
     _check_paired(labels, preds)
     return _per_sample(preds.values, labels.values, labels.n_classes)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .confusion import ConfusionTensor, PredictionMatrix, ProbabilityField
+from .confusion import ConfusionTensor, PredictionMatrix, ProbabilityField, _row_blocks
 from .metrics import LossTensor
 
 
@@ -42,11 +42,15 @@ def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMat
     decision that minimizes the expected weighted loss <L, C>.  A K x K loss
     is shared by every output.
     """
-    _, m_out, k = probs.values.shape
+    n, m_out, k = probs.values.shape
     slices = _slices(loss, m_out, k, f"probability field (M={m_out}, K={k})")
-    columns = probs.values.transpose(1, 0, 2)
-    preds = np.column_stack([np.argmin(_row_scores(c, s), axis=1) for c, s in zip(columns, slices)])
-    return PredictionMatrix(preds + 1, n_classes=k)
+    preds = np.empty((n, m_out), dtype=np.intp)
+    for m, loss_m in enumerate(slices):
+        for rows in _row_blocks(n, k):  # one block of (rows, K) scores at a time
+            preds[rows, m] = np.argmin(_row_scores(probs.values[rows, m], loss_m), axis=1)
+    preds += 1
+    preds.flags.writeable = False  # the container keeps this array instead of a copy
+    return PredictionMatrix(preds, n_classes=k)
 
 
 def expected_weighted_loss(loss: LossTensor, conf: ConfusionTensor) -> float:

@@ -25,7 +25,6 @@ from metricopt.confusion import (
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
-    per_sample_confusion,
     sample_confusion,
 )
 from metricopt.decision import expected_weighted_loss, weighted_predict
@@ -243,10 +242,9 @@ def test_criterion_5_averaging_identities():
                 labels = LabelMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 preds = PredictionMatrix(rng.integers(1, 4, size=(n, m_out)), 3)
                 conf = sample_confusion(labels, preds)
-                per = per_sample_confusion(labels, preds)
                 micro = micro_utility(spec, conf)
                 macro = macro_utility(spec, conf)
-                inst = instance_utility(spec, per)
+                inst = instance_utility(spec, labels, preds)
                 assert abs(micro - macro) <= 1e-12
                 assert abs(micro - inst) <= 1e-12
 

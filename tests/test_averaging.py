@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricopt import confusion
 from metricopt.averaging import (
     MODES,
     averaged,
@@ -20,7 +23,7 @@ from metricopt.confusion import (
     sample_confusion,
 )
 from metricopt.errors import GuardError
-from metricopt.metrics import _KINDS, MetricSpec, eval_metric
+from metricopt.metrics import _KINDS, MetricSpec, _eval_batch, eval_metric
 
 from conftest import random_confusion, random_labels
 
@@ -89,7 +92,7 @@ class TestUtilities:
         preds = PredictionMatrix(random_labels(rng, 1, 2, 3), 3)
         per = per_sample_confusion(labels, preds)
         spec = MetricSpec.ordinal(3)
-        inst = instance_utility(spec, per)
+        inst = instance_utility(spec, labels, preds)
         assert inst == pytest.approx(eval_metric(spec, per[0]), abs=1e-15)
 
     def test_instance_micro_f1_two_heterogeneous_samples(self):
@@ -98,20 +101,24 @@ class TestUtilities:
         per = per_sample_confusion(labels, preds)
         spec = MetricSpec.micro_f1(2)
         by_hand = 0.5 * (eval_metric(spec, per[0]) + eval_metric(spec, per[1]))
-        got = instance_utility(spec, per)
+        got = instance_utility(spec, labels, preds)
         assert got == pytest.approx(by_hand, abs=1e-15)
 
     def test_instance_input_validated(self):
         spec = MetricSpec.ordinal(2)
-        good = np.full((3, 2, 2), 0.25)
-        assert instance_utility(spec, good) == pytest.approx(0.5, abs=1e-15)
-        with pytest.raises(ValueError, match="shape"):
-            instance_utility(spec, good[:, None])
-        for bad_value in (-0.25, np.nan):
-            bad = good.copy()
-            bad[1, 0, 1] = bad_value
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                instance_utility(spec, bad)
+        # each sample's four outputs fill every (true, predicted) cell with 1/4
+        labels = LabelMatrix(np.tile([1, 1, 2, 2], (3, 1)), 2)
+        preds = PredictionMatrix(np.tile([1, 2, 1, 2], (3, 1)), 2)
+        assert instance_utility(spec, labels, preds) == pytest.approx(0.5, abs=1e-15)
+        mismatched = [
+            (spec, labels, PredictionMatrix(preds.values[:2], 2)),  # N
+            (spec, labels, PredictionMatrix(preds.values[:, :3], 2)),  # M
+            (spec, labels, PredictionMatrix(preds.values, 3)),  # K of the predictions
+            (MetricSpec.ordinal(3), labels, preds),  # K of the metric
+        ]
+        for args in mismatched:
+            with pytest.raises(ValueError, match="does not match"):
+                instance_utility(*args)
 
 
 class TestLinearEquivalence:
@@ -123,10 +130,9 @@ class TestLinearEquivalence:
             labels = LabelMatrix(random_labels(rng, n, m, 3), 3)
             preds = PredictionMatrix(random_labels(rng, n, m, 3), 3)
             conf = sample_confusion(labels, preds)
-            per = per_sample_confusion(labels, preds)
             micro = micro_utility(spec, conf)
             macro = macro_utility(spec, conf)
-            inst = instance_utility(spec, per)
+            inst = instance_utility(spec, labels, preds)
             assert abs(micro - macro) <= 1e-12
             assert abs(micro - inst) <= 1e-12
 
@@ -197,18 +203,51 @@ def test_averaged_is_each_members_utility(p, n, m_out, k, kind, seed):
         "macro": [sample_confusion(*pair) for pair in pairs],
         "instance": [per_sample_confusion(*pair) for pair in pairs],
     }
-    utility = {"micro": micro_utility, "macro": macro_utility, "instance": instance_utility}
+    utility = {
+        "micro": micro_utility,
+        "macro": macro_utility,
+        "instance": lambda spec, pair: instance_utility(spec, *pair),
+    }
     for mode in MODES:
         stack = np.stack([getattr(member, "values", member) for member in members[mode]])
         got = averaged(spec, stack, mode)
         assert got.shape == (p,)
-        for member, value in zip(members[mode], got):
+        for member, pair, value in zip(members[mode], pairs, got):
             try:
-                expected = utility[mode](spec, member)
+                expected = utility[mode](spec, member if mode != "instance" else pair)
             except GuardError:
                 assert np.isnan(value)
             else:
                 assert value == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    m_out=st.integers(1, 4),
+    k=st.integers(2, 4),
+    kind=st.sampled_from(_KINDS),
+    block_rows=st.sampled_from([1, 2, 3, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=15, m_out=3, k=3, kind="micro_f1", block_rows=7, seed=0)
+def test_blocked_instance_utility_is_the_dense_mean(n, m_out, k, kind, block_rows, seed):
+    """With blocks of a few rows, so block edges fall inside small inputs, the
+    instance utility is bit for bit the mean over the dense (N, K, K) stack, and
+    a GuardError exactly where that mean is NaN."""
+    rng = np.random.default_rng(seed)
+    spec = spec_of_kind(kind, k, rng)
+    labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+    preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
+    # kept alive, so the blocked result cannot land in its freed buffer with its bits
+    values = _eval_batch(spec, per_sample_confusion(labels, preds))
+    dense = values.mean()
+    with patch.object(confusion, "_BLOCK_CELLS", block_rows * k * k):
+        if np.isnan(dense):
+            with pytest.raises(GuardError, match="^degenerate denominator: "):
+                instance_utility(spec, labels, preds)
+        else:
+            assert np.float64(instance_utility(spec, labels, preds)).tobytes() == dense.tobytes()
 
 
 class TestAveraged:

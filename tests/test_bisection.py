@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricopt import bisection
 from metricopt.averaging import (
     instance_utility,
     macro_utility,
@@ -22,7 +25,6 @@ from metricopt.confusion import (
     PredictionMatrix,
     ProbabilityField,
     expected_confusion,
-    per_sample_confusion,
     sample_confusion,
 )
 from metricopt.decision import weighted_predict
@@ -76,6 +78,20 @@ class TestBisectMicro:
         loss, _ = bisect_micro(labels, probs, flm, BisectionConfig(iterations=25))
         for m in range(1, 3):
             np.testing.assert_array_equal(loss.values[m], loss.values[0])
+
+    def test_linear_search_counts_only_changed_rules(self, rng):
+        # Every candidate of a linear metric rescales to the same rule, so only the
+        # argmax rule and the first candidate are counted, not all 51 rules.
+        k = 5
+        labels = LabelMatrix(random_labels(rng, 200, 2, k), k)
+        probs = ProbabilityField(random_prob_rows(rng, 200, 2, k))
+        argmax = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
+        flm = as_fractional_linear(MetricSpec.ordinal(k))
+        assert (weighted_predict(loss_from_gamma(flm, 0.5), probs).values != argmax.values).any()
+        with patch.object(bisection, "_joint_counts", wraps=bisection._joint_counts) as counts:
+            _, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
+        assert counts.call_count == 2
+        assert len({record.utility for record in trace.records}) == 1
 
     def test_accepted_utility_never_decreases(self, rng):
         labels = LabelMatrix(random_labels(rng, 20, 1, 3), 3)
@@ -347,8 +363,7 @@ class TestBruteForceOracle:
     def test_instance_averaging_supported(self, rng):
         labels = LabelMatrix(random_labels(rng, 3, 2, 2), 2)
         utility, preds = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), "instance")
-        per = per_sample_confusion(labels, preds)
-        achieved = instance_utility(MetricSpec.micro_f1(2), per)
+        achieved = instance_utility(MetricSpec.micro_f1(2), labels, preds)
         assert achieved == pytest.approx(utility, abs=1e-12)
 
     def test_oversized_instance_guarded(self):
@@ -385,7 +400,7 @@ def evaluated_utility(spec, labels, probs, preds, mode):
     if probs is not None:
         conf = expected_confusion(probs, preds)
     elif mode == "instance":
-        return instance_utility(spec, per_sample_confusion(labels, preds))
+        return instance_utility(spec, labels, preds)
     else:
         conf = sample_confusion(labels, preds)
     return (micro_utility if mode == "micro" else macro_utility)(spec, conf)

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import metricopt
+from metricopt import confusion
 from metricopt.averaging import micro_utility
 from metricopt.bisection import _ratio_bracket
 from metricopt.cli import RunReport, _utilities_for, build_parser, main
@@ -130,6 +131,25 @@ class TestEval:
         assert utilities["instance"] is not None
         dense = n * m_out * k * k * 8  # a one-hot (N, M, K, K) float tensor
         assert peak < dense / 2, f"peak {peak / 1e6:.1f} MB, dense tensor {dense / 1e6:.0f} MB"
+
+    def test_utilities_peak_is_bounded_by_a_block_not_by_n(self, rng):
+        # the instance utility builds per-sample confusions a block of rows at a time
+        n, m_out, k = 20000, 4, 10
+        labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+        preds = PredictionMatrix(random_labels(rng, n, m_out, k), k)
+        conf = sample_confusion(labels, preds)
+        spec = MetricSpec.micro_f1(k)
+        tracemalloc.start()
+        try:
+            utilities = _utilities_for(spec, labels, preds, conf, "micro")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert utilities["instance"] is not None
+        bound = 2 * confusion._BLOCK_CELLS * 8  # two blocks of float64 cells
+        dense = n * k * k * 8  # the (N, K, K) per-sample tensor
+        assert bound < dense
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
     def test_missing_file_exit_code_and_message(self, tmp_path, capsys):
         code = main(

@@ -1,8 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metricopt import confusion
 from metricopt.confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -102,9 +106,10 @@ class TestWeightedPredict:
                 np.testing.assert_array_equal(np.argmin(scores, axis=1) + 1, full[idx, m])
 
     def test_row_kernel_does_not_depend_on_batch_size_at_benchmark_size(self, rng):
-        # The search scores all N*M = 100k rows of the tune-probs field in one
-        # batch, then a few rows at a time; weighted_predict scores one output's
-        # strided rows.  A BLAS that picks its kernel by size must not change a bit.
+        # The search scores the N*M = 100k rows of the tune-probs field a block at
+        # a time, then a few rows at a time; weighted_predict scores blocks of one
+        # output's strided rows.  A BLAS that picks its kernel by size must not
+        # change a bit.
         n, m_out, k = 25_000, 4, 10
         probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, m_out)))
         loss = LossTensor(rng.random((k, k)))
@@ -217,3 +222,36 @@ class TestOptimalityOnKnownProbabilities:
                 best = min(best, expected_weighted_loss(loss, conf))
             achieved = expected_weighted_loss(loss, expected_confusion(probs, clf_preds))
             assert achieved <= best + 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 6),
+    block_rows=st.sampled_from([1, 2, 3, 7]),
+    rows=st.sampled_from(["dirichlet", "rounded"]),
+    strided=st.booleans(),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_predictions_equal_unblocked(n, m_out, k, block_rows, rows, strided, stacked, seed):
+    """With blocks of a few rows, weighted_predict gives the classes of scoring each
+    output's whole column at once; rounded rows and losses make ties common."""
+    rng = np.random.default_rng(seed)
+    if rows == "rounded":  # multiples of 1/4
+        base = rng.multinomial(4, np.full(k, 1.0 / k), size=(2 * n, m_out + 1)) / 4
+        loss = rng.integers(0, 3, size=(m_out, k, k) if stacked else (k, k)) / 2
+    else:
+        base = rng.dirichlet(np.full(k, 0.5), size=(2 * n, m_out + 1))
+        loss = rng.random((m_out, k, k) if stacked else (k, k))
+    base.flags.writeable = False  # so the field keeps the view instead of copying it
+    probs = ProbabilityField(base[::2, 1:, ::-1] if strided else base[:n, :m_out])
+    loss = LossTensor(loss)
+    slices = np.broadcast_to(loss.values, (m_out, k, k))
+    whole = [np.argmin(_row_scores(probs.values[:, m], slices[m]), axis=1) for m in range(m_out)]
+    with patch.object(confusion, "_BLOCK_CELLS", block_rows * k):
+        got = weighted_predict(loss, probs).values
+    expected = np.column_stack(whole) + 1
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()

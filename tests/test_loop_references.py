@@ -5,12 +5,14 @@ descent; and the bisection that re-scores every row at every gamma as the
 reference for the search, which re-scores only the rows that can change."""
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricopt import confusion
 from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
 from metricopt.bisection import (
     BisectionConfig,
@@ -147,9 +149,11 @@ def test_per_sample_confusion_matches_per_cell_loop(n, m_out, k, seed):
         reference = _eval_batch(spec, folded)
         if np.isnan(reference).any():
             with pytest.raises(GuardError):
-                instance_utility(spec, per)
+                instance_utility(spec, labels, preds)
         else:
-            assert instance_utility(spec, per) == pytest.approx(reference.mean(), rel=0, abs=1e-14)
+            assert instance_utility(spec, labels, preds) == pytest.approx(
+                reference.mean(), rel=0, abs=1e-14
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,6 +383,42 @@ def test_search_matches_full_rescoring_bit_for_bit(
     assert [_bits(t) for t in traces] == [_bits(t) for _, t in expected]
     stacked = np.stack([t.final_loss for _, t in expected])
     assert loss.values.tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    m_out=st.integers(1, 4),
+    k=st.integers(2, 5),
+    iterations=st.integers(1, 60),
+    rows=st.sampled_from(["dirichlet", "onehot", "rounded", "duplicated"]),
+    metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
+    eval_mode=st.sampled_from(["sample", "expected"]),
+    block_rows=st.sampled_from([1, 2, 3, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=30, m_out=4, k=5, iterations=60, rows="dirichlet", metric="micro_f1",
+         eval_mode="sample", block_rows=7, seed=0)
+def test_search_in_small_row_blocks_matches_full_rescoring(
+    n, m_out, k, iterations, rows, metric, eval_mode, block_rows, seed
+):
+    """With blocks of a few rows, so block edges fall inside the first passes and
+    the active rows alike, the search keeps the bits of re-scoring every row."""
+    rng = np.random.default_rng(seed)
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
+    probs = ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
+    flm = _search_metric(rng, k, metric)
+    cfg = BisectionConfig(iterations, eval_mode)
+    try:
+        expected = full_rescoring_bisect_micro(labels, probs, flm, cfg)
+    except GuardError:  # a candidate with a degenerate denominator
+        with patch.object(confusion, "_BLOCK_CELLS", block_rows * k), pytest.raises(GuardError):
+            bisect_micro(labels, probs, flm, cfg)
+        return
+    with patch.object(confusion, "_BLOCK_CELLS", block_rows * k):
+        got = bisect_micro(labels, probs, flm, cfg)
+    assert _bits(got[1]) == _bits(expected[1])
+    assert got[0].values.tobytes() == expected[0].values.tobytes()
 
 
 def test_search_rescores_rows_whose_tie_is_decided_by_rounding():

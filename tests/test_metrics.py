@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricopt.averaging import instance_utility, macro_utility, micro_utility
-from metricopt.confusion import ConfusionTensor
+from metricopt.confusion import ConfusionTensor, LabelMatrix, PredictionMatrix
 from metricopt.errors import GuardError
 from metricopt.metrics import (
     FractionalLinearMetric,
@@ -112,7 +112,9 @@ class TestEvalValidation:
             lambda: metric_gradient(spec, conf),
             lambda: micro_utility(spec, ConfusionTensor(conf[None])),
             lambda: macro_utility(spec, ConfusionTensor(conf[None])),
-            lambda: instance_utility(spec, conf[None]),
+            # one sample whose single output is class 1, predicted 1: the confusion above
+            lambda: instance_utility(spec, LabelMatrix(np.ones((1, 1), int), 2),
+                                     PredictionMatrix(np.ones((1, 1), int), 2)),
         ]
         for refuse in refusals:
             with pytest.raises(GuardError, match="^degenerate denominator: "):
