@@ -39,6 +39,13 @@ def micro_confusion(conf: ConfusionTensor) -> np.ndarray:
     return _micro(conf.values)
 
 
+def _check_classes(spec: MetricSpec, shape: tuple[int, ...]) -> None:
+    """Refuse confusions of shape ``shape`` (..., K, K) whose K is not the metric's."""
+    k = spec.n_classes
+    if shape[-2:] != (k, k):
+        raise ValueError(f"confusion shape {shape} does not match K={k}")
+
+
 def averaged(spec: MetricSpec, confs: np.ndarray, mode: str) -> np.ndarray:
     """The ``mode``-averaged metric of stacked confusions, NaN where it is undefined.
 
@@ -48,9 +55,7 @@ def averaged(spec: MetricSpec, confs: np.ndarray, mode: str) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"averaging mode must be one of {MODES}, got {mode!r}")
-    k = spec.n_classes
-    if confs.shape[-2:] != (k, k):
-        raise ValueError(f"confusion shape {confs.shape} does not match K={k}")
+    _check_classes(spec, confs.shape)
     if mode == "micro":
         return _eval_batch(spec, _micro(confs))
     values = _eval_batch(spec, confs)
@@ -81,9 +86,8 @@ def instance_utility(spec: MetricSpec, labels: LabelMatrix, preds: PredictionMat
     block of (K, K) confusions held at a time.
     """
     _check_paired(labels, preds)
-    k = spec.n_classes
-    if labels.n_classes != k:
-        raise ValueError(f"labels K={labels.n_classes} does not match metric K={k}")
+    k = labels.n_classes
+    _check_classes(spec, (labels.n_samples, k, k))  # the shape per_sample_confusion would have
     values = np.empty(labels.n_samples)
     for rows in _row_blocks(labels.n_samples, k * k):
         values[rows] = _eval_batch(spec, _per_sample(preds.values[rows], labels.values[rows], k))

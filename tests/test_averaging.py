@@ -267,3 +267,6 @@ class TestAveraged:
         for mode in MODES:
             with pytest.raises(ValueError, match="does not match K=2"):
                 averaged(MetricSpec.ordinal(2), confs, mode)
+        labels = LabelMatrix(np.ones((2, 1), dtype=int), 3)  # the same check, the same message
+        with pytest.raises(ValueError, match=r"confusion shape \(2, 3, 3\) does not match K=2"):
+            instance_utility(MetricSpec.ordinal(2), labels, PredictionMatrix(labels.values, 3))

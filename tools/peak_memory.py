@@ -1,12 +1,12 @@
 """Peak memory of ``eval`` and ``postprocess --probs`` at a chosen size.
 
     python3 tools/peak_memory.py eval postprocess --n 250000 [--m 4 --k 10]
-        [--seed 0] [--tree ROOT]
+        [--tree ROOT]
 
 For each command the inputs are drawn as the benchmark draws them
 (``perfbench.workloads``: ``eval-preds`` for ``eval``, ``tune-probs`` for
-``postprocess --probs``) at N rows, with the workload's own M and K unless
-given, and written once, in a process of their own: on Linux a process's
+``postprocess --probs``) from seed 0 at N rows, with the workload's own M and
+K unless given, and written once, in a process of their own: on Linux a process's
 ``ru_maxrss`` starts at the resident size of the process that started it, so
 this one stays small.  The command then runs twice in a fresh process with
 ``ROOT/src`` on ``PYTHONPATH`` (default: the tree this script sits in) and one
@@ -32,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
 
 WORKLOAD_OF = {"eval": "eval-preds", "postprocess": "tune-probs"}
+SEED = 0
 
 # argv: traced (0 or 1), then the command line; prints the module path, exit code,
 # tracemalloc peak in bytes and ru_maxrss in KiB
@@ -63,25 +64,25 @@ def run_child(tree: Path, argv: list[str], traced: bool) -> tuple[int, int]:
     return int(peak), int(maxrss_kib) * 1024
 
 
-def write_inputs(command: str, size: dict[str, int], seed: int, work: str):
+def write_inputs(command: str, size: dict[str, int], work: str):
     """Draw and write the inputs of ``command`` into ``work``; the workload's full size and
     the command line.  Imports numpy itself, so only the process it runs in holds the draws."""
     from perfbench.workloads import WORKLOADS
 
     workload = WORKLOADS[WORKLOAD_OF[command]](**size)
-    data = workload.generate(workload.rng(seed))
+    data = workload.generate(workload.rng(SEED))
     files = {key: str(path) for key, path in workload.write(data, Path(work)).items()}
-    return workload.size, workload.argv(files, work, seed)
+    return workload.size, workload.argv(files, work, SEED)
 
 
-def measure(command: str, tree: Path, size: dict[str, int], seed: int) -> dict:
+def measure(command: str, tree: Path, size: dict[str, int]) -> dict:
     with tempfile.TemporaryDirectory() as work:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
-            size, argv = pool.apply(write_inputs, (command, size, seed, work))
+            size, argv = pool.apply(write_inputs, (command, size, work))
         _, maxrss = run_child(tree, argv, traced=False)
         peak, _ = run_child(tree, argv, traced=True)
     mib = 1 << 20
-    return {"command": command, **size, "seed": seed, "tree": str(tree),
+    return {"command": command, **size, "seed": SEED, "tree": str(tree),
             "ru_maxrss_mib": round(maxrss / mib, 1), "traced_peak_mib": round(peak / mib, 1)}
 
 
@@ -91,12 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, required=True, help="rows")
     parser.add_argument("--m", type=int, default=None, help="outputs (default: the workload's)")
     parser.add_argument("--k", type=int, default=None, help="classes (default: the workload's)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tree", type=Path, default=ROOT, help="root of the source tree to run")
     args = parser.parse_args(argv)
     size = {"N": args.n, **({"M": args.m} if args.m else {}), **({"K": args.k} if args.k else {})}
     for command in args.commands:
-        print(json.dumps(measure(command, args.tree.resolve(), size, args.seed)), flush=True)
+        print(json.dumps(measure(command, args.tree.resolve(), size)), flush=True)
     return 0
 
 
