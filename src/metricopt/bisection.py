@@ -9,7 +9,7 @@ B = 0, every utility is a weighted mean of those ratios.  Metrics outside
 that class are refused with GuardError.  Halving the bracket on the test
 pins the optimal utility to within 2^-T times the initial width after T
 iterations.  Micro averaging shares one loss matrix across all outputs;
-macro averaging runs the micro search once per output, on that output alone.
+macro averaging runs the same search loop once per output, on that column alone.
 
 Candidates can be scored on the sample confusion of the evaluation labels
 (``eval_mode="sample"``, the estimation setting) or on the expected confusion
@@ -108,12 +108,15 @@ class BisectionTrace:
         }
 
 
-def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
-    """[min, max] of A_ij / B_ij over the cells with B_ij > 0.
+def tuning_bracket(flm: FractionalLinearMetric, n_classes: int) -> tuple[float, float]:
+    """The search's starting bracket: [min, max] of A_ij / B_ij over the cells with B_ij > 0.
 
-    Valid when B >= 0 and A = 0 wherever B = 0: then <A, C> / <B, C> is a
-    weighted mean of those ratios for every nonnegative confusion C.
+    Valid when B >= 0 and A = 0 wherever B = 0: then <A, C> / <B, C> is a weighted mean of
+    those ratios for every nonnegative confusion C.  The one check of whether a metric can be
+    tuned on labels of ``n_classes`` classes: another K is a ValueError, no bracket a GuardError.
     """
+    if flm.n_classes != n_classes:
+        raise ValueError(f"metric K={flm.n_classes} does not match labels K={n_classes}")
     a, b = flm.numerator_A, flm.denominator_B
     positive = b > 0
     if (b < 0).any() or (a[~positive] != 0).any() or not positive.any():
@@ -122,39 +125,14 @@ def _ratio_bracket(flm: FractionalLinearMetric) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
-def tuning_bracket(flm: FractionalLinearMetric, n_classes: int) -> tuple[float, float]:
-    """The search's starting bracket for ``flm`` on labels of ``n_classes`` classes.
-
-    The one check of whether a metric can be tuned: a K other than the labels'
-    is a ValueError, and a metric with no valid bracket a GuardError.
-    """
-    if flm.n_classes != n_classes:
-        raise ValueError(f"metric K={flm.n_classes} does not match labels K={n_classes}")
-    return _ratio_bracket(flm)
-
-
-def _check_bisect_inputs(
-    labels: LabelMatrix, probs_hat: ProbabilityField, flm: FractionalLinearMetric
-) -> tuple[float, float]:
-    _check_paired(labels, probs_hat)
-    return tuning_bracket(flm, labels.n_classes)
-
-
-def bisect_micro(
-    labels: LabelMatrix,
-    probs_hat: ProbabilityField,
-    flm: FractionalLinearMetric,
-    cfg: BisectionConfig,
-) -> tuple[LossTensor, BisectionTrace]:
-    """Search for the micro-averaged optimum with one loss shared by all outputs.
-
-    ``labels`` and ``probs_hat`` are the evaluation split and the probability
-    estimates at its points.  The returned loss repeats that K x K matrix as
-    one slice per output.
-    """
-    lower, upper = _check_bisect_inputs(labels, probs_hat, flm)
-    n, m_out, k = probs_hat.values.shape
-    flat = probs_hat.values.reshape(-1, k)  # row n*M + m
+def _search(
+    true: np.ndarray, rows: np.ndarray, flm: FractionalLinearMetric, cfg: BisectionConfig, bracket
+) -> BisectionTrace:
+    """The search from ``bracket``, (lower, upper), on checked (N, M) labels ``true`` and
+    (N, M, K) probabilities ``rows``: one loss shared by the M outputs."""
+    lower, upper = bracket
+    n, m_out, k = rows.shape
+    flat = rows.reshape(-1, k)  # row n*M + m
     preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
 
@@ -181,9 +159,9 @@ def bisect_micro(
         """The micro utility of ``preds``, counted as the oracle counts its chunks:
         the same bits as ``sample_confusion``/``expected_confusion`` and ``micro_confusion``."""
         if cfg.eval_mode == "sample":
-            counts = _joint_counts(preds.reshape(n, m_out), k, true=labels.values)
+            counts = _joint_counts(preds.reshape(n, m_out), k, true=true)
         else:
-            counts = _joint_counts(preds.reshape(n, m_out), k, rows=probs_hat.values)
+            counts = _joint_counts(preds.reshape(n, m_out), k, rows=rows)
         return flm.evaluate(_micro(counts / n))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
@@ -215,8 +193,26 @@ def bisect_micro(
             live = (ends[True] != ends[False]) | (ends[True] == 0)
             active = np.flatnonzero(live) if isinstance(active, slice) else active[live]
             ends = {side: classes[live] for side, classes in ends.items()}
-    tiled = LossTensor(np.broadcast_to(best_loss.values, (m_out, k, k)))
-    return tiled, BisectionTrace(records, best_loss.values, best_utility)
+    return BisectionTrace(records, best_loss.values, best_utility)
+
+
+def bisect_micro(
+    labels: LabelMatrix,
+    probs_hat: ProbabilityField,
+    flm: FractionalLinearMetric,
+    cfg: BisectionConfig,
+) -> tuple[LossTensor, BisectionTrace]:
+    """Search for the micro-averaged optimum with one loss shared by all outputs.
+
+    ``labels`` and ``probs_hat`` are the evaluation split and the probability
+    estimates at its points.  The returned loss repeats that K x K matrix as
+    one slice per output.
+    """
+    _check_paired(labels, probs_hat)
+    bracket = tuning_bracket(flm, labels.n_classes)
+    trace = _search(labels.values, probs_hat.values, flm, cfg, bracket)
+    m_out, k = probs_hat.n_outputs, probs_hat.n_classes
+    return LossTensor(np.broadcast_to(trace.final_loss, (m_out, k, k))), trace
 
 
 def bisect_macro(
@@ -226,14 +222,10 @@ def bisect_macro(
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, list[BisectionTrace]]:
     """The micro search on each output alone; the loss slices may differ per output."""
-    _check_bisect_inputs(labels, probs_hat, flm)
+    _check_paired(labels, probs_hat)
+    bracket = tuning_bracket(flm, labels.n_classes)
     traces = [
-        bisect_micro(
-            LabelMatrix(labels.values[:, m : m + 1], labels.n_classes),
-            ProbabilityField(probs_hat.values[:, m : m + 1, :]),
-            flm,
-            cfg,
-        )[1]
+        _search(labels.values[:, m : m + 1], probs_hat.values[:, m : m + 1], flm, cfg, bracket)
         for m in range(labels.n_outputs)
     ]
     return LossTensor(np.stack([t.final_loss for t in traces])), traces

@@ -92,12 +92,17 @@ class ProbabilityField:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 3:
             raise ValueError(f"probability field must be 3-D (N, M, K), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("probability field contains non-finite entries")
-        if values.min() < 0:
+        if values.size == 0:
+            raise ValueError("probability field must be non-empty")
+        negative, worst = False, 0.0
+        for rows in _row_blocks(len(values), values[0].size):  # a block of samples at a time
+            block = values[rows]
+            if not np.isfinite(block).all():  # outranks a negative seen in an earlier block
+                raise ValueError("probability field contains non-finite entries")
+            negative = negative or block.min() < 0
+            worst = max(worst, float(np.abs(block.sum(axis=2) - 1.0).max()))
+        if negative:
             raise ValueError("probability field contains negative entries")
-        row_sums = values.sum(axis=2)
-        worst = float(np.abs(row_sums - 1.0).max())
         if worst > SIMPLEX_ATOL:
             raise ValueError(
                 f"probability rows must sum to 1 within {SIMPLEX_ATOL}, worst deviation {worst:.3e}"

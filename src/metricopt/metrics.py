@@ -144,7 +144,9 @@ class LossTensor:
         object.__setattr__(self, "values", _readonly(values))
 
     def to_dict(self) -> dict:
-        """Document form of an (M, K, K) stack."""
+        """Document form of an (M, K, K) stack; a K x K loss, shared by every output, has none."""
+        if self.values.ndim != 3:
+            raise ValueError(f"loss of shape {self.values.shape} is shared by every output")
         m_out, k, _ = self.values.shape
         return {"M": m_out, "K": k, "slices": self.values.tolist()}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metricopt.averaging import micro_confusion
-from metricopt.bisection import _ratio_bracket
+from metricopt.bisection import tuning_bracket
 from metricopt.confusion import sample_confusion
 from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
@@ -35,7 +35,7 @@ def random_prob_rows(rng, n_samples, n_outputs, n_classes):
 
 def exact_family_best(labels, probs, flm):
     """Best micro sample utility over every rule of the weighted family
-    ``gamma*B - A`` with gamma inside ``_ratio_bracket(flm)``.
+    ``gamma*B - A`` with gamma inside ``tuning_bracket(flm, flm.n_classes)``.
 
     Class k scores ``gamma*b_k - a_k`` in a row (a = eta@A, b = eta@B), so a
     row's rule changes only where two of its classes cross, at
@@ -44,7 +44,7 @@ def exact_family_best(labels, probs, flm):
     ``weighted_predict`` and ``sample_confusion``.  The crossings themselves,
     where a tie decides, are not scored.
     """
-    lower, upper = _ratio_bracket(flm)
+    lower, upper = tuning_bracket(flm, flm.n_classes)
     rows = probs.values.reshape(-1, flm.n_classes)
     a, b = rows @ flm.numerator_A, rows @ flm.denominator_B
     da = a[:, :, None] - a[:, None, :]

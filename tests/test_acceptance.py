@@ -36,7 +36,6 @@ from metricopt.metrics import (
     as_fractional_linear,
     eval_metric,
     loss_from_gamma,
-    loss_from_gradient,
     metric_gradient,
 )
 
@@ -426,9 +425,7 @@ def test_criterion_8_postprocessing_never_loses():
             for spec in specs:
                 flm = as_fractional_linear(spec)
                 for mode in ("micro", "macro"):
-                    if flm.is_linear:
-                        loss = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
-                    elif mode == "micro":
+                    if mode == "micro":
                         loss, _ = bisect_micro(
                             labels, probs, flm, BisectionConfig(iterations=iterations)
                         )

@@ -15,10 +15,10 @@ from metricopt.averaging import (
 from metricopt.bisection import (
     MAX_ENUMERATION,
     BisectionConfig,
-    _ratio_bracket,
     bisect_macro,
     bisect_micro,
     brute_force_oracle,
+    tuning_bracket,
 )
 from metricopt.confusion import (
     LabelMatrix,
@@ -139,19 +139,23 @@ class TestBisectMicro:
             achieved = flm.evaluate(expected_confusion(probs, preds).values.mean(axis=0))
             assert achieved >= oracle_u - 2.0**-50 - 1e-9
 
-    def test_class_count_mismatch_rejected(self, rng):
-        labels = LabelMatrix(random_labels(rng, 5, 1, 2), 2)
-        probs = ProbabilityField(random_prob_rows(rng, 5, 1, 3))
+    @pytest.mark.parametrize("search", [bisect_micro, bisect_macro])
+    def test_class_count_mismatch_rejected(self, rng, search):
+        labels = LabelMatrix(random_labels(rng, 5, 2, 2), 2)
+        probs = ProbabilityField(random_prob_rows(rng, 5, 2, 3))
         flm = as_fractional_linear(MetricSpec.micro_f1(3))
-        with pytest.raises(ValueError, match="does not match"):
-            bisect_micro(labels, probs, flm, BisectionConfig())
+        # the pairing check comes first: the metric's K matches the probabilities'
+        match = r"LabelMatrix \(N, M, K\) = \(5, 2, 2\) does not match ProbabilityField"
+        with pytest.raises(ValueError, match=match):
+            search(labels, probs, flm, BisectionConfig())
 
-    def test_metric_class_count_mismatch_rejected(self, rng):
-        labels = LabelMatrix(random_labels(rng, 5, 1, 2), 2)
-        probs = ProbabilityField(random_prob_rows(rng, 5, 1, 2))
+    @pytest.mark.parametrize("search", [bisect_micro, bisect_macro])
+    def test_metric_class_count_mismatch_rejected(self, rng, search):
+        labels = LabelMatrix(random_labels(rng, 5, 2, 2), 2)
+        probs = ProbabilityField(random_prob_rows(rng, 5, 2, 2))
         flm = as_fractional_linear(MetricSpec.micro_f1(3))
         with pytest.raises(ValueError, match="metric K=3 does not match labels K=2"):
-            bisect_micro(labels, probs, flm, BisectionConfig())
+            search(labels, probs, flm, BisectionConfig())
 
 
 class TestBisectMacro:
@@ -210,7 +214,7 @@ class TestRatioBracket:
     def test_micro_f1_bracket_is_the_unit_interval(self):
         for negative_class in (1, 3):
             flm = as_fractional_linear(MetricSpec.micro_f1(3, negative_class))
-            assert _ratio_bracket(flm) == (0.0, 1.0)
+            assert tuning_bracket(flm, flm.n_classes) == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -311,7 +315,7 @@ class TestSearchProperties:
         zero[rng.integers(k), rng.integers(k)] = False  # keep one B entry positive
         a[zero] = b[zero] = 0.0
         flm = FractionalLinearMetric(a, b)
-        lower, upper = _ratio_bracket(flm)
+        lower, upper = tuning_bracket(flm, flm.n_classes)
         tol = 1e-12 * max(1.0, abs(lower), abs(upper))
         for _ in range(20):
             conf = rng.dirichlet(np.ones(k * k)).reshape(k, k) * (rng.random((k, k)) < 0.7)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import metricopt
 from metricopt import confusion
 from metricopt.averaging import micro_utility
-from metricopt.bisection import _ratio_bracket
+from metricopt.bisection import tuning_bracket
 from metricopt.cli import RunReport, _utilities_for, build_parser, main
 from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField, sample_confusion
 from metricopt.decision import weighted_predict
@@ -621,7 +621,7 @@ def test_tuned_rule_never_below_the_argmax_rule(seed, n, m_out, k, kind, averagi
         report = RunReport.from_json(Path(f"{tmp}/report.json").read_text())
     assert report.trace is not None
     spec = metric_from_config(config, k)
-    lower, upper = _ratio_bracket(spec.ratio)
+    lower, upper = tuning_bracket(spec.ratio, k)
     slack = 2.0**-iters * (upper - lower)
     argmax_preds = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
     argmax_conf = sample_confusion(LabelMatrix(labels, k), argmax_preds)

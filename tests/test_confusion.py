@@ -33,6 +33,39 @@ class TestTypes:
         with pytest.raises(ValueError, match="sum to 1"):
             ProbabilityField(bad)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (4, 0, 3), (4, 2, 0)])
+    def test_probability_field_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="probability field must be non-empty"):
+            ProbabilityField(np.zeros(shape))
+
+    def test_every_block_is_checked_in_refusal_order(self):
+        values = np.full((200000, 2, 2), 0.5)  # four row blocks
+        values[1, 0] = [-0.5, 1.5]  # first block: negative, but on the simplex
+        values[-1, 1, 0] = np.nan  # last block
+        with pytest.raises(ValueError, match="non-finite"):
+            ProbabilityField(values)
+        values[-1, 1, 0] = 0.5
+        with pytest.raises(ValueError, match="negative"):
+            ProbabilityField(values)
+        values[1, 0] = [0.5, 0.5 + 1e-6]  # the worst deviation, in the first block
+        values[-1, 1, 0] = 0.5 + 1e-7
+        with pytest.raises(ValueError, match="worst deviation 1.000e-06"):
+            ProbabilityField(values)
+
+    def test_validation_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        values = random_prob_rows(rng, 50000, 4, 10)
+        values.flags.writeable = False  # a read-only array is kept, not copied
+        tracemalloc.start()
+        try:
+            probs = ProbabilityField(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.values is values
+        # checked a row block at a time: no temporary the size of the field or of its row sums
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_confusion_tensor_rejects_wrong_mass(self):
         bad = np.full((1, 2, 2), 0.3)
         with pytest.raises(ValueError, match="mass 1"):

@@ -40,6 +40,10 @@ class TestLossTensor:
         assert doc["M"] == 2 and doc["K"] == 3
         assert doc["slices"] == tensor.values.tolist()
 
+    def test_shared_loss_has_no_document_form(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) is shared by every output"):
+            LossTensor(np.zeros((3, 3))).to_dict()
+
 
 class TestWeightedPredict:
     def test_zero_one_loss_reduces_to_argmax(self):

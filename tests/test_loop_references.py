@@ -18,11 +18,10 @@ from metricopt.bisection import (
     BisectionConfig,
     BisectionTrace,
     IterationRecord,
-    _check_bisect_inputs,
-    _ratio_bracket,
     bisect_macro,
     bisect_micro,
     brute_force_oracle,
+    tuning_bracket,
 )
 from metricopt.confusion import (
     LabelMatrix,
@@ -265,9 +264,9 @@ def full_rescoring_bisect_micro(
 ) -> tuple[LossTensor, BisectionTrace]:
     """The micro search as it was before it skipped settled rows: every row is
     re-scored by ``weighted_predict`` at every gamma."""
-    _check_bisect_inputs(labels, probs_hat, flm)
+    confusion._check_paired(labels, probs_hat)
     m_out, k = labels.n_outputs, flm.n_classes
-    lower, upper = _ratio_bracket(flm)
+    lower, upper = tuning_bracket(flm, labels.n_classes)
 
     def utility_of(loss: LossTensor) -> float:
         preds = weighted_predict(loss, probs_hat)

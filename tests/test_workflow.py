@@ -10,8 +10,8 @@ def test_tier1_workflow_loads_and_names_existing_scripts():
     """The CI workflow parses, each step is a ``run`` or a ``uses``, and every
     ``perfbench/*.py`` and ``tools/*.py`` script a step runs exists.
 
-    PyYAML is not among the ``[test]`` extras, so this test skips in CI and
-    runs where PyYAML happens to be installed.
+    PyYAML is one of the ``[test]`` extras, so CI runs this test; it skips
+    only where the extras are not installed.
     """
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
