@@ -66,6 +66,9 @@ class BisectionConfig:
 
     ``iterations`` fixes the number of halvings (50 reaches machine
     precision); ``eval_mode`` picks the confusion that scores candidates.
+    A width of ``2^-t`` times the bracket's after t halvings is exact only for ends
+    such as ``[0, 1]``, and only until the midpoint rounds onto an end (the width then
+    stays a few ulps); for ends such as ``[1/3, 2/3]`` it is one ulp off from the start.
     """
 
     iterations: int = 50
@@ -135,6 +138,7 @@ def _search(
     flat = rows.reshape(-1, k)  # row n*M + m
     preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
+    truth = true if cfg.eval_mode == "sample" else rows  # what each prediction is counted against
 
     def rescore(loss: LossTensor, span: float, active) -> tuple[np.ndarray, bool]:
         """Score ``active`` rows into ``preds``, a block at a time.  Returns their classes, 0 with
@@ -158,11 +162,7 @@ def _search(
     def utility_of() -> float:
         """The micro utility of ``preds``, counted as the oracle counts its chunks:
         the same bits as ``sample_confusion``/``expected_confusion`` and ``micro_confusion``."""
-        if cfg.eval_mode == "sample":
-            counts = _joint_counts(preds.reshape(n, m_out), k, true=true)
-        else:
-            counts = _joint_counts(preds.reshape(n, m_out), k, rows=rows)
-        return flm.evaluate(_micro(counts / n))
+        return flm.evaluate(_micro(_joint_counts(preds.reshape(n, m_out), k, truth) / n))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
@@ -255,6 +255,7 @@ def brute_force_oracle(
         raise GuardError(f"instance too large: K^(N*M) = {total} exceeds {MAX_ENUMERATION}")
     if probs is not None:
         _check_paired(labels, probs)
+    truth = labels.values if probs is None else probs.values
 
     best_utility = -np.inf
     best_preds = None
@@ -266,12 +267,9 @@ def brute_force_oracle(
         if mode == "instance":
             confs = _per_sample(preds.reshape(-1, m_out), np.tile(labels.values, (p, 1)), k)
         else:
-            # one kernel column per (assignment, output)
+            # one kernel column per (assignment, output), each counted against its output's truth
             cols = preds.transpose(1, 0, 2).reshape(n, -1)
-            if probs is None:
-                confs = _joint_counts(cols, k, true=np.tile(labels.values, p)) / n
-            else:
-                confs = _joint_counts(cols, k, rows=np.tile(probs.values, (1, p, 1))) / n
+            confs = _joint_counts(cols, k, np.tile(truth, (1, p, 1)[: truth.ndim])) / n
         utilities = averaged(spec, confs.reshape(p, -1, k, k), mode)
         utilities = np.where(np.isnan(utilities), -np.inf, utilities)
         local_best = int(np.argmax(utilities))

@@ -120,21 +120,31 @@ def _load_metric_config(arg: str) -> dict:
     return {"kind": text}
 
 
-def _aligned_labels(
-    labels: LabelMatrix, labels_path: str, path: str, n_rows: int, n_classes: int | None = None
-) -> LabelMatrix:
-    """Refuse an input file whose row count differs from the labels'.
-
-    Given a probability file's class count, also refuse one below the labels'
-    and return the labels bound to it; otherwise return ``labels`` unchanged.
-    """
+def _aligned_labels(labels: LabelMatrix, labels_path: str, path: str, shape: tuple) -> LabelMatrix:
+    """Refuse an input file of ``shape`` that disagrees with the labels in rows, in outputs
+    where ``shape`` has them ((N, M) predictions, (N, M, K) probabilities, not (N,) features),
+    or in a probability file's K below theirs.  Returns the labels, bound to that K if any."""
+    n_rows, *rest = shape
     if n_rows != labels.n_samples:
         raise ValueError(f"{path} has {n_rows} rows but {labels_path} has {labels.n_samples}")
-    if n_classes is None:
+    if rest and rest[0] != labels.n_outputs:
+        raise ValueError(f"{path} has {rest[0]} outputs but {labels_path} has {labels.n_outputs}")
+    if len(rest) < 2:
         return labels
-    if n_classes < labels.n_classes:
-        raise ValueError(f"probability file K={n_classes} below labels K={labels.n_classes}")
-    return LabelMatrix(labels.values, n_classes)
+    if rest[1] < labels.n_classes:
+        raise ValueError(f"probability file K={rest[1]} below labels K={labels.n_classes}")
+    return LabelMatrix(labels.values, rest[1])
+
+
+def _read_tuning_inputs(args) -> tuple[LabelMatrix, ProbabilityField | None, dict, MetricSpec]:
+    """``postprocess``'s and ``oracle``'s labels, ``--probs`` if given, metric document and spec."""
+    labels = read_labels(args.labels)
+    probs = None
+    if args.probs is not None:
+        probs = read_probs(args.probs)
+        labels = _aligned_labels(labels, args.labels, args.probs, probs.values.shape)
+    config = _load_metric_config(args.metric)
+    return labels, probs, config, metric_from_config(config, labels.n_classes)
 
 
 def _utilities_for(
@@ -174,7 +184,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     labels = read_labels(args.labels)
     preds_raw = read_labels(args.preds)
-    _aligned_labels(labels, args.labels, args.preds, preds_raw.n_samples)
+    _aligned_labels(labels, args.labels, args.preds, preds_raw.values.shape)
     n_classes = max(labels.n_classes, preds_raw.n_classes)
     labels = LabelMatrix(labels.values, n_classes)
     preds = PredictionMatrix(preds_raw.values, n_classes)
@@ -197,14 +207,8 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def cmd_postprocess(args) -> int:
     started = time.perf_counter()
     cfg = BisectionConfig(iterations=args.iters)
-    labels = read_labels(args.labels)
-    probs = None
-    if args.probs is not None:
-        probs = read_probs(args.probs)
-        labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
+    labels, probs, config, spec = _read_tuning_inputs(args)
     # a metric the search cannot tune is refused before features are read or fit
-    config = _load_metric_config(args.metric)
-    spec = metric_from_config(config, labels.n_classes)
     if spec.ratio is None:
         raise ValueError(f"bisection unsupported for this metric: {spec.kind}")
     tuning_bracket(spec.ratio, labels.n_classes)
@@ -213,7 +217,7 @@ def cmd_postprocess(args) -> int:
         labels_eval, probs_eval, probs_full = labels, probs, probs
     else:
         features = read_features(args.features)
-        _aligned_labels(labels, args.labels, args.features, features.shape[0])
+        _aligned_labels(labels, args.labels, args.features, features.shape[:1])
         fit_idx, eval_idx = _split_indices(labels.n_samples, _resolve_seed(args.seed))
         if len(eval_idx) == 0:
             raise ValueError(f"N={labels.n_samples} leaves the evaluation split empty")
@@ -263,13 +267,7 @@ def cmd_synth(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    labels = read_labels(args.labels)
-    probs = None
-    if args.probs is not None:
-        probs = read_probs(args.probs)
-        labels = _aligned_labels(labels, args.labels, args.probs, probs.n_samples, probs.n_classes)
-    config = _load_metric_config(args.metric)
-    spec = metric_from_config(config, labels.n_classes)
+    labels, probs, config, spec = _read_tuning_inputs(args)
     utility, preds = brute_force_oracle(labels, probs, spec, args.averaging)
     if args.preds:
         write_predictions(args.preds, preds)
@@ -283,7 +281,7 @@ def cmd_train_lr(args) -> int:
     started = time.perf_counter()
     features = read_features(args.features)
     labels = read_labels(args.labels)
-    _aligned_labels(labels, args.labels, args.features, features.shape[0])
+    _aligned_labels(labels, args.labels, args.features, features.shape[:1])
     model = fit_lr(features, labels, iterations=args.iters)
     write_probs(args.out, predict_proba(model, features))
     # --out names the probability file, so the report goes to stdout

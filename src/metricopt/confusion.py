@@ -159,17 +159,14 @@ def _check_paired(a: LabelMatrix | ProbabilityField, b: LabelMatrix | Probabilit
 
 
 def _joint_counts(
-    pred: np.ndarray,
-    n_classes: int,
-    true: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-    weights: float | np.ndarray | None = None,
+    pred: np.ndarray, n_classes: int, truth: np.ndarray, weights: float | np.ndarray | None = None
 ) -> np.ndarray:
     """Joint (true, predicted) counts per column of ``pred``, shape (M, K, K).
 
-    ``pred`` holds 1-based (N, M) classes.  Each entry adds one unit, or its
-    entry of ``weights`` (broadcast against ``pred``), at its 1-based ``true``
-    class, or its weight row ``rows[n, m]`` (length K) across the true classes.
+    ``pred`` holds 1-based (N, M) classes, counted against ``truth``: (N, M)
+    1-based true classes, where each entry adds one unit, or its entry of
+    ``weights`` (broadcast against ``pred``), at its class; or (N, M, K)
+    weight rows, where each entry adds its row across the true classes.
     A single ``np.bincount`` adds the entries of a column in row order, so
     weighted sums equal those of a sequential loop.
     """
@@ -177,9 +174,9 @@ def _joint_counts(
     m_out = pred.shape[1]
     # K * true + pred + offset is the flat index of (column, true - 1, pred - 1)
     offset = np.arange(m_out) * (k * k) - (k + 1)
-    if rows is None:
-        # one index array, built in place in the memory order of ``true``
-        index = np.multiply(true, k, dtype=np.intp)
+    if truth.ndim == 2:
+        # one index array, built in place in the memory order of ``truth``
+        index = np.multiply(truth, k, dtype=np.intp)
         index += pred
         index += offset
         order = "F" if index.flags.f_contiguous else "C"
@@ -188,17 +185,22 @@ def _joint_counts(
         counts = np.bincount(index.ravel(order), weights=weights, minlength=m_out * k * k)
     else:
         index = (pred + (offset + k))[:, :, None] + k * np.arange(k)
-        counts = np.bincount(index.ravel(), weights=rows.ravel(), minlength=m_out * k * k)
+        counts = np.bincount(index.ravel(), weights=truth.ravel(), minlength=m_out * k * k)
     return counts.reshape(m_out, k, k)
+
+
+def _confusion(truth: LabelMatrix | ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:
+    """``preds`` counted against ``truth``, labels or probabilities, per sample."""
+    _check_paired(truth, preds)
+    counts = _joint_counts(preds.values, truth.n_classes, truth.values)
+    return ConfusionTensor(counts / truth.n_samples)
 
 
 def sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> ConfusionTensor:
     """Average the one-hot per-sample confusions: entry (m, i, j) is the
     fraction of samples with true class i and predicted class j in output m.
     """
-    _check_paired(labels, preds)
-    counts = _joint_counts(preds.values, labels.n_classes, true=labels.values)
-    return ConfusionTensor(counts / labels.n_samples)
+    return _confusion(labels, preds)
 
 
 def per_sample_confusion(labels: LabelMatrix, preds: PredictionMatrix) -> np.ndarray:
@@ -217,7 +219,7 @@ def _per_sample(pred: np.ndarray, true: np.ndarray, n_classes: int) -> np.ndarra
     """Each row's cells of 1-based (N, M) classes weighted 1/M and added in
     output order, shape (N, K, K)."""
     # each row is one column of the kernel; its outputs are the rows
-    return _joint_counts(pred.T, n_classes, true=true.T, weights=1.0 / pred.shape[1])
+    return _joint_counts(pred.T, n_classes, true.T, weights=1.0 / pred.shape[1])
 
 
 def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> ConfusionTensor:
@@ -227,6 +229,4 @@ def expected_confusion(probs: ProbabilityField, preds: PredictionMatrix) -> Conf
     With one-hot probabilities equal to the labels this coincides with
     ``sample_confusion``.
     """
-    _check_paired(probs, preds)
-    counts = _joint_counts(preds.values, probs.n_classes, rows=probs.values)
-    return ConfusionTensor(counts / probs.n_samples)
+    return _confusion(probs, preds)

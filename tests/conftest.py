@@ -3,7 +3,7 @@ import pytest
 
 from metricopt.averaging import micro_confusion
 from metricopt.bisection import tuning_bracket
-from metricopt.confusion import sample_confusion
+from metricopt.confusion import expected_confusion, sample_confusion
 from metricopt.decision import weighted_predict
 from metricopt.errors import GuardError
 from metricopt.metrics import loss_from_gamma
@@ -33,16 +33,17 @@ def random_prob_rows(rng, n_samples, n_outputs, n_classes):
     return raw
 
 
-def exact_family_best(labels, probs, flm):
-    """Best micro sample utility over every rule of the weighted family
-    ``gamma*B - A`` with gamma inside ``tuning_bracket(flm, flm.n_classes)``.
+def exact_family_best(labels, probs, flm, expected=False):
+    """Best micro sample utility, or with ``expected`` the best micro expected
+    utility, over every rule of the weighted family ``gamma*B - A`` with gamma
+    inside ``tuning_bracket(flm, flm.n_classes)``.
 
     Class k scores ``gamma*b_k - a_k`` in a row (a = eta@A, b = eta@B), so a
     row's rule changes only where two of its classes cross, at
     ``(a_j - a_c)/(b_j - b_c)``.  Between consecutive crossings of any row the
     rule is one; its midpoint is scored with ``loss_from_gamma``,
-    ``weighted_predict`` and ``sample_confusion``.  The crossings themselves,
-    where a tie decides, are not scored.
+    ``weighted_predict`` and ``sample_confusion`` (``expected_confusion`` with
+    ``expected``).  The crossings themselves, where a tie decides, are not scored.
     """
     lower, upper = tuning_bracket(flm, flm.n_classes)
     rows = probs.values.reshape(-1, flm.n_classes)
@@ -56,8 +57,9 @@ def exact_family_best(labels, probs, flm):
     best = -np.inf
     for gamma in 0.5 * (ends[:-1] + ends[1:]):
         preds = weighted_predict(loss_from_gamma(flm, gamma), probs)
+        conf = expected_confusion(probs, preds) if expected else sample_confusion(labels, preds)
         try:
-            utility = flm.evaluate(micro_confusion(sample_confusion(labels, preds)))
+            utility = flm.evaluate(micro_confusion(conf))
         except GuardError:
             continue
         best = max(best, utility)

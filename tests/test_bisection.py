@@ -305,6 +305,32 @@ class TestSearchProperties:
         for m, output_trace in enumerate(traces):
             assert output_trace.final_utility >= flm.evaluate(conf.values[m])
 
+    @settings(max_examples=40, deadline=None)
+    @given(negative=st.one_of(st.none(), st.integers(0, 3)), **instances)
+    def test_expected_mode_final_bracket_holds_the_family_best(self, negative, seed, n, m_out, k):
+        # Dinkelbach: scored on the expected confusion, the rule at gamma maximises
+        # <A - gamma*B, C> over every rule, so U(gamma) >= gamma exactly when some rule
+        # reaches gamma, and the halved bracket keeps the family's best utility inside
+        labels, probs, flm = random_instance(seed, n, m_out, k)
+        if negative is not None:  # micro-F1 with a random negative class
+            flm = MetricSpec.micro_f1(k, negative % k + 1).ratio
+        cfg = BisectionConfig(iterations=50, eval_mode="expected")
+        try:
+            _, trace = bisect_micro(labels, probs, flm, cfg)
+            _, traces = bisect_macro(labels, probs, flm, cfg)
+        except GuardError:
+            return
+        lo, hi = tuning_bracket(flm, k)
+        columns = [(labels, probs)] + [
+            (LabelMatrix(labels.values[:, [m]], k), ProbabilityField(probs.values[:, [m]]))
+            for m in range(m_out)
+        ]
+        for (column_labels, column_probs), output_trace in zip(columns, [trace, *traces]):
+            best = exact_family_best(column_labels, column_probs, flm, expected=True)
+            last = output_trace.records[-1]
+            assert last.lower - 1e-12 <= best <= last.upper + 1e-12
+            assert output_trace.final_utility >= best - 2**-50 * (hi - lo) - 1e-12
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
     def test_bracket_holds_every_utility(self, seed, k):

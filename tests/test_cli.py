@@ -496,6 +496,25 @@ class TestPostprocess:
     def test_probability_row_mismatch_refused_for_linear_metric(self, tmp_path, capsys):
         self._refuses_row_mismatch(tmp_path, capsys, "probs", 45, metric="ordinal")
 
+    @pytest.mark.parametrize("command", ["eval", "postprocess", "oracle"])
+    def test_output_count_mismatch_names_both_files(self, tmp_path, capsys, command):
+        # the labels have two outputs, the other file one; both files and counts are named
+        rng = np.random.default_rng(5)
+        labels_path, path = tmp_path / "labels.csv", tmp_path / "other.csv"
+        write_predictions(labels_path, LabelMatrix(random_labels(rng, 3, 2, 2), 2))
+        out, preds_path = tmp_path / "report.json", tmp_path / "final.csv"
+        argv = [command, "--labels", str(labels_path), "--metric", "micro_f1", "--out", str(out)]
+        if command == "eval":
+            write_predictions(path, PredictionMatrix(random_labels(rng, 3, 1, 2), 2))
+            argv += ["--preds", str(path)]
+        else:
+            write_probs(path, ProbabilityField(random_prob_rows(rng, 3, 1, 2)))
+            argv += ["--probs", str(path), "--preds", str(preds_path)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert not preds_path.exists()
+        assert f"{path} has 1 outputs but {labels_path} has 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sources, message",
         [(("probs", "features"), "not allowed with argument"), ((), "one of the arguments")],
