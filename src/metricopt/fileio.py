@@ -5,6 +5,8 @@ files start with a ``# M=...,K=...`` metadata line followed by ``p_m_k``
 columns in output-major order.  Feature files carry an ``x1..xD`` header.
 Cells are plain, unquoted decimal numbers and empty lines are skipped.
 Floats are written with shortest round-trip repr so files reproduce exactly.
+Label files in the form ``write_predictions`` writes are parsed from their bytes;
+every other file, and every float table, by ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .confusion import LabelMatrix, ProbabilityField
 
 # cells formatted per write, so a large file never builds all its strings at once
 _WRITE_CELLS = 1 << 12
+# bytes of a label file parsed at a time, so its temporaries stay a few MB at any size
+_READ_BYTES = 1 << 16
 
 
 def _open(path: str | Path):
@@ -69,6 +73,75 @@ def _read_table(handle, path, n_columns: int, dtype, first_line: int) -> np.ndar
     return values
 
 
+def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
+    """The int64 rows under the header of a canonical integer table, or None.
+
+    Canonical is what ``write_predictions`` writes: cells of 1 to 18 ASCII digits,
+    ``,`` between them, ``\\n`` after each row (the last may lack it), exactly
+    ``n_columns`` cells a row, no blank lines.  A first pass counts the rows, so
+    the result is allocated once; a second parses ``_READ_BYTES`` at a time, each
+    block cut at its last newline.  Anything else is left to ``_read_table``.
+    """
+    with open(path, "rb") as raw:
+        if b"\r" in raw.readline():
+            return None  # text mode ends this header elsewhere
+        body = raw.tell()
+        rows, last = 0, b"\n"
+        while block := raw.read(_READ_BYTES):
+            rows += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            last = block[-1:]
+        rows += last != b"\n"
+        if rows == 0:
+            return None
+        out = np.empty((rows, n_columns), dtype=np.int64)
+        flat = out.reshape(-1)  # a view: the result owns its memory, so it is never copied
+        raw.seek(body)
+        done, rest = 0, b""
+        while True:
+            block = raw.read(_READ_BYTES)
+            if not block:
+                if not rest:
+                    break
+                block = b"\n"  # the last row may lack its newline
+            text = rest + block
+            cut = text.rfind(b"\n") + 1
+            text, rest = np.frombuffer(text, dtype=np.uint8, count=cut), text[cut:]
+            codes = text - ord("0")  # wraps every non-digit above 9
+            if cut and codes[0] > 9:
+                return None  # an empty cell, or a byte that is neither digit nor separator
+            # the last digit of each cell, if none is empty: the byte before each separator
+            last_digits = np.flatnonzero(codes[1:] > 9)
+            cells = len(last_digits)
+            block_rows = cells // n_columns
+            if (
+                cells % n_columns
+                or done + cells > flat.size
+                or np.count_nonzero(text == ord("\n")) != block_rows
+                or np.count_nonzero(text == ord(",")) != cells - block_rows
+                or (text[last_digits[n_columns - 1 :: n_columns] + 1] != ord("\n")).any()
+            ):
+                return None  # a separator other than "," and "\n", or a ragged row
+            digits = codes.take(last_digits)
+            if (digits > 9).any():
+                return None  # an empty cell
+            values = flat[done : done + cells]
+            values[:] = digits
+            # cells of more than `place` digits, until every digit in the block is counted
+            left, alive = cut - 2 * cells, True
+            for place in range(1, 18):
+                if not left:
+                    break
+                # a first cell of `place` digits or fewer wraps to the block's end; masked out
+                digits = codes.take(last_digits - place)
+                alive &= digits <= 9
+                left -= np.count_nonzero(alive)
+                values += np.where(alive, digits, 0) * np.int64(10**place)
+            if left:
+                return None  # a cell of 19 digits or more
+            done += cells
+    return out if done == flat.size else None
+
+
 def _read_headed(path: str | Path, dtype) -> np.ndarray:
     """The read-only table under a one-line header of non-empty column names."""
     with _open(path) as handle:
@@ -78,7 +151,9 @@ def _read_headed(path: str | Path, dtype) -> np.ndarray:
         names = _cells(header)
         if not all(name.strip() for name in names):
             raise ValueError(f"{path}:1: malformed header {names!r}")
-        array = _read_table(handle, path, len(names), dtype, first_line=2)
+        array = _read_digits(path, len(names)) if dtype is np.int64 else None
+        if array is None:
+            array = _read_table(handle, path, len(names), dtype, first_line=2)
     array.flags.writeable = False  # a matrix then holds this array, not a copy
     return array
 
@@ -97,6 +172,9 @@ def _write_table(path: str | Path, head_lines: list[str], table: np.ndarray) -> 
 def read_labels(path: str | Path) -> LabelMatrix:
     """Read a label (or prediction) matrix; K is the largest class seen."""
     array = _read_headed(path, np.int64)
+    lowest = int(array.min())
+    if lowest < 1:
+        raise ValueError(f"{path}: classes must be at least 1, found {lowest}")
     return LabelMatrix(array, n_classes=int(array.max()))
 
 

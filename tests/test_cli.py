@@ -457,6 +457,23 @@ class TestPostprocess:
         assert code == 2
         assert f"{preds_path} has 2 rows but {labels_path} has 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, rows, lowest",
+        [("labels", "1,2\n-2,3\n", -2), ("preds", "1,2\n0,3\n", 0), ("preds", "0,0\n0,0\n", 0)],
+        ids=["labels", "preds", "all-zero"],
+    )
+    def test_eval_class_below_one_names_its_file(self, tmp_path, capsys, bad, rows, lowest):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("labels", "preds")}
+        for name, path in paths.items():
+            path.write_text("y1,y2\n" + (rows if name == bad else "1,2\n2,3\n"))
+        code = main(
+            ["eval", "--labels", str(paths["labels"]), "--preds", str(paths["preds"]),
+             "--metric", "micro_f1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{paths[bad]}: classes must be at least 1, found {lowest}" in err
+
     def test_train_lr_feature_row_mismatch_refused(self, tmp_path, capsys):
         labels_path, features_path = tmp_path / "labels.csv", tmp_path / "features.csv"
         write_predictions(labels_path, LabelMatrix(np.array([[1], [2], [1]]), 2))

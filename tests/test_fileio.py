@@ -1,6 +1,7 @@
 """CSV readers and writers: round trips, the writers' text against per-cell
-reference loops, line-numbered errors for corrupted files, the error messages
-of malformed headers, and the memory a large label file takes to read."""
+reference loops, the byte reader of label files against the general reader,
+line-numbered errors for corrupted files, the error messages of malformed
+headers, and the memory a large label file takes to read."""
 
 import re
 import tempfile
@@ -351,12 +352,89 @@ class TestErrors:
             read_probs(path)
 
 
-def test_a_million_row_label_file_reads_within_four_arrays(tmp_path):
+# label bodies: rows of cells of 1, 2, 18 or 19 digits, some with leading zeros, then up to
+# two single-character edits from the characters a label file might hold; or any text of them
+BODY_CHARACTERS = "0123456789,\n\r +-._"
+
+
+@st.composite
+def label_bodies(draw):
+    m_out = draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        return m_out, draw(st.text(BODY_CHARACTERS, max_size=40))
+    cell = st.sampled_from([1, 2] * 3 + [18, 19]).flatmap(
+        lambda digits: st.from_regex(rf"[0-9]{{{digits}}}", fullmatch=True)
+    )
+    cells = st.lists(cell, min_size=m_out, max_size=m_out)
+    body = "".join(",".join(row) + "\n" for row in draw(st.lists(cells, max_size=6)))
+    if body and draw(st.booleans()):
+        body = body[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        edit = draw(st.sampled_from(BODY_CHARACTERS))
+        body = body[:at] + edit + body[at + draw(st.integers(0, 1)) :]
+    return m_out, body
+
+
+def _outcome(read, path):
+    try:
+        labels = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return labels.values.shape, labels.values.tobytes(), labels.n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=label_bodies(), header_end=st.sampled_from(["\n", "\r\n", "\r"]),
+       read_bytes=st.integers(1, 12))
+@example(table=(2, "1,2\r\n3,4\r\n"), header_end="\r\n", read_bytes=4)
+@example(table=(1, "1\n2\n"), header_end="\r", read_bytes=2)
+@example(table=(2, "1,2\n3,4"), header_end="\n", read_bytes=3)
+@example(table=(2, "1,2\n\n3,4\n\n"), header_end="\n", read_bytes=2)
+@example(table=(1, "\n1\n"), header_end="\n", read_bytes=1)
+@example(table=(2, "007,1\n"), header_end="\n", read_bytes=3)
+@example(table=(1, "123456789012345678\n"), header_end="\n", read_bytes=5)
+@example(table=(1, "1234567890123456789\n"), header_end="\n", read_bytes=5)
+@example(table=(2, "1,9223372036854775807\n"), header_end="\n", read_bytes=7)
+@example(table=(2, "1,2\n3\n"), header_end="\n", read_bytes=4)
+@example(table=(2, "1,2,\n3,4\n"), header_end="\n", read_bytes=4)
+@example(table=(2, "1,2,3\n4\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1 2\n3,4\n"), header_end="\n", read_bytes=16)
+@example(table=(3, "12,,3\n"), header_end="\n", read_bytes=16)
+@example(table=(1, "_0"), header_end="\n", read_bytes=1)
+@example(table=(2, "1,2\n3,4\n"), header_end="\n", read_bytes=1 << 16)
+def test_byte_reader_agrees_with_the_general_reader(table, header_end, read_bytes):
+    """The byte reader takes exactly the canonical files and parses them as
+    ``_read_table`` does; ``read_labels`` gives what the general reader alone gives."""
+    m_out, body = table
+    row = r"[0-9]{1,18}" + r",[0-9]{1,18}" * (m_out - 1)
+    canonical = header_end == "\n" and re.fullmatch(rf"(?:{row}\n)*{row}\n?", body) is not None
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_READ_BYTES", read_bytes):
+        path = Path(tmp) / "labels.csv"
+        header = ",".join(f"y{m + 1}" for m in range(m_out)) + header_end
+        path.write_bytes((header + body).encode())
+        fast = fileio._read_digits(path, m_out)
+        assert (fast is not None) == canonical
+        if fast is not None:
+            with open(path) as handle:
+                handle.readline()
+                general = fileio._read_table(handle, path, m_out, np.int64, first_line=2)
+            assert fast.dtype == general.dtype == np.int64
+            assert fast.shape == general.shape
+            assert fast.tobytes() == general.tobytes()
+        got = _outcome(read_labels, path)
+        with mock.patch.object(fileio, "_read_digits", lambda path, n_columns: None):
+            assert got == _outcome(read_labels, path)
+
+
+@pytest.mark.parametrize("digits", [1, 2], ids=["one-digit", "two-digit"])
+def test_a_million_row_label_file_reads_within_four_arrays(tmp_path, digits):
     n = 10**6
-    classes = np.random.default_rng(0).integers(1, 10, size=n)
-    body = np.empty((n, 2), dtype=np.uint8)
-    body[:, 0] = ord("0") + classes
-    body[:, 1] = ord("\n")
+    classes = np.random.default_rng(0).integers(10 ** (digits - 1), 10**digits, size=n)
+    body = np.empty((n, digits + 1), dtype=np.uint8)
+    for place in range(digits):
+        body[:, digits - 1 - place] = ord("0") + classes // 10**place % 10
+    body[:, digits] = ord("\n")
     path = tmp_path / "labels.csv"
     path.write_bytes(b"y1\n" + body.tobytes())
     tracemalloc.start()
@@ -367,6 +445,6 @@ def test_a_million_row_label_file_reads_within_four_arrays(tmp_path):
         tracemalloc.stop()
     final = labels.values.nbytes
     assert final == 8 * n
-    # the matrix holds the parsed array itself; the rest is np.loadtxt's chunk buffer
+    # the matrix holds the parsed array itself; the rest is one block of bytes and its temporaries
     assert peak <= 1.5 * final, f"peak {peak / 1e6:.1f} MB for an {final / 1e6:.0f} MB array"
     np.testing.assert_array_equal(labels.values[:, 0], classes)

@@ -12,8 +12,11 @@ workload runs ``oracle`` or a linear metric, so the same comparison also covers
 both on a seeded N=5, M=2, K=3 fixture: ``oracle`` on micro-F1 (3^10
 assignments) with micro, macro and instance averaging on the labels, and micro
 and macro with ``--probs``; and ``postprocess --probs`` on ordinal, micro and
-macro.  Exits 1 on any difference or failed command, 0 when every output
-matches.
+macro.  ``eval`` also runs twice on a seeded N=200, M=3, K=12 fixture, so that
+two-digit classes occur: once on the files as ``write_predictions`` writes them,
+which the byte reader parses, and once on the same files with CRLF line ends,
+a space-padded cell and a ``+``-signed cell, which ``np.loadtxt`` parses.
+Exits 1 on any difference or failed command, 0 when every output matches.
 """
 
 from __future__ import annotations
@@ -109,6 +112,29 @@ def small_case(command: str, metric: str, mode: str, with_probs: bool, seed: int
     return prepare
 
 
+def eval_case(rewritten: bool, seed: int):
+    """As ``workload_case``, for ``eval`` on the seeded K=12 fixture; ``rewritten`` gives
+    both files CRLF line ends, a space-padded cell and a ``+``-signed cell."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        n, m_out, k = 200, 3, 12
+        files = {}
+        for name in ("labels", "preds"):
+            path = work / f"{name}.csv"
+            write_predictions(path, LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k))
+            if rewritten:
+                lines = path.read_text().splitlines()
+                cells = lines[1].split(",")
+                lines[1] = ",".join([f" {cells[0]} ", *cells[1:]])
+                lines[2] = "+" + lines[2]
+                path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+            files[name] = str(path)
+        return lambda out_dir: ["eval", "--labels", files["labels"], "--preds", files["preds"],
+                                "--metric", "micro_f1", "--averaging", "micro",
+                                "--out", f"{out_dir}/report.json"]
+    return prepare
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the reference source tree")
@@ -121,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     cases += [(f"{command} {metric} {mode}{' --probs' * with_probs} seed {seed}",
                small_case(command, metric, mode, with_probs, seed))
               for command, metric, mode, with_probs in SMALL_CASES for seed in args.seeds]
+    cases += [(f"eval K=12{' CRLF, padded, signed' * rewritten} seed {seed}",
+               eval_case(rewritten, seed)) for rewritten in (False, True) for seed in args.seeds]
     failed = False
     for label, prepare in cases:
         with tempfile.TemporaryDirectory() as work:
