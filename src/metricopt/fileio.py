@@ -106,6 +106,8 @@ def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
             text = rest + block
             cut = text.rfind(b"\n") + 1
             text, rest = np.frombuffer(text, dtype=np.uint8, count=cut), text[cut:]
+            if len(rest) >= 19 * n_columns:
+                return None  # no newline within a canonical row's most bytes: 18-digit cells and commas
             codes = text - ord("0")  # wraps every non-digit above 9
             if cut and codes[0] > 9:
                 return None  # an empty cell, or a byte that is neither digit nor separator
@@ -135,7 +137,8 @@ def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
                 digits = codes.take(last_digits - place)
                 alive &= digits <= 9
                 left -= np.count_nonzero(alive)
-                values += np.where(alive, digits, 0) * np.int64(10**place)
+                # widened first: numpy < 2 would keep a uint8 product for 10**2
+                values += np.where(alive, digits, 0).astype(np.int64) * 10**place
             if left:
                 return None  # a cell of 19 digits or more
             done += cells

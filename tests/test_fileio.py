@@ -403,6 +403,9 @@ def _outcome(read, path):
 @example(table=(3, "12,,3\n"), header_end="\n", read_bytes=16)
 @example(table=(1, "_0"), header_end="\n", read_bytes=1)
 @example(table=(2, "1,2\n3,4\n"), header_end="\n", read_bytes=1 << 16)
+@example(table=(1, "300\n255\n256\n1000\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1,2\r" * 40), header_end="\n", read_bytes=3)
+@example(table=(2, "1,2\n" + ",".join(["123456789012345678"] * 2)), header_end="\n", read_bytes=5)
 def test_byte_reader_agrees_with_the_general_reader(table, header_end, read_bytes):
     """The byte reader takes exactly the canonical files and parses them as
     ``_read_table`` does; ``read_labels`` gives what the general reader alone gives."""
@@ -425,6 +428,19 @@ def test_byte_reader_agrees_with_the_general_reader(table, header_end, read_byte
         got = _outcome(read_labels, path)
         with mock.patch.object(fileio, "_read_digits", lambda path, n_columns: None):
             assert got == _outcome(read_labels, path)
+
+
+def test_a_body_without_newlines_is_given_up_within_a_block(tmp_path):
+    """A body with no newline is never carried from block to block whole."""
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"y1,y2\n" + b"1,2\r" * 10**6)
+    tracemalloc.start()
+    try:
+        assert fileio._read_digits(path, 2) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * fileio._READ_BYTES, f"peak {peak / 1e6:.1f} MB for a 4 MB body"
 
 
 @pytest.mark.parametrize("digits", [1, 2], ids=["one-digit", "two-digit"])
