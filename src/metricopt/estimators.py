@@ -51,7 +51,8 @@ class _DescentBuffers:
     """Arrays one output's descent rewrites on every step, allocated once.
 
     ``classes`` holds the output's 1-based training labels; ``flat`` indexes
-    each sample's true class in the flattened (N, K) probability buffer.
+    each sample's true class in the flattened (N, K) probability buffer;
+    ``acc`` holds the eight accumulators of ``_pairwise_rows``.
     """
 
     def __init__(self, features: np.ndarray, classes: np.ndarray, k: int):
@@ -62,9 +63,45 @@ class _DescentBuffers:
         self.lt = np.empty((k, n))
         self.p = np.empty((n, k))
         self.row = np.empty(n)
-        self.rowsum = np.empty((n, 1))
+        self.acc = np.empty((8, n))
         self.grad = np.empty((k, d))
         self.penalty = np.empty((k, d))
+
+
+def _pairwise_rows(rows: np.ndarray, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Column sums of ``rows`` (K, N) into ``out`` (N,), equal bit for bit to
+    ``np.sum(rows.T, axis=-1)`` on a C-ordered copy.
+
+    numpy's ``pairwise_sum`` adds a contiguous run of K cells sequentially
+    when K < 8; up to 128 cells it keeps eight accumulators over blocks of
+    eight, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds
+    the tail in order; above 128 it sums the halves split at ``K//2`` rounded
+    down to a multiple of 8, and adds them.  Here each cell is a whole row, so
+    every add covers all N samples.  ``acc`` is an (8, N) scratch array.  (numpy
+    adds that sum to a +0.0 start, so a sum of -0.0 is the one exception.)
+    """
+    k = rows.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        left = _pairwise_rows(rows[:half], acc, np.empty_like(out))
+        return np.add(left, _pairwise_rows(rows[half:], acc, out), out=out)
+    if k < 8:
+        np.copyto(out, rows[0])
+        tail = rows[1:]
+    else:
+        blocked = k - k % 8
+        blocks = rows[:8]
+        if blocked > 8:
+            blocks = np.add(blocks, rows[8:16], out=acc)
+            for start in range(16, blocked, 8):
+                np.add(acc, rows[start:start + 8], out=acc)
+        np.add(blocks[0::2], blocks[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=out)
+        tail = rows[blocked:]
+    for row in tail:
+        np.add(out, row, out=out)
+    return out
 
 
 def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray:
@@ -74,19 +111,23 @@ def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray
     returns ``buf.grad``.  Every operation produces the same bits as
     ``-(softmax(-X @ W^T) - onehot).T @ X / N + l2 * W``: the logits are
     built class-major, so the row shift ``-L - max(-L)`` becomes the exact
-    ``min(L) - L`` over the long axis.  The row sums stay numpy's own
-    reduction over the sample-major ``p``, and the gradient product takes the
-    F-ordered ``p.T``, as the plain formula does: a different summation order
-    or a C-ordered operand changes the bits.
+    ``min(L) - L`` over the long axis.  The softmax denominators are taken
+    class-major too, by ``_pairwise_rows``: it adds whole class rows in the
+    order numpy's pairwise sum adds one sample's K cells, and float addition
+    of the same operands in the same order gives the same bits, so they equal
+    ``np.sum(p, axis=-1)`` over the sample-major ``p``.  The gradient product
+    takes the F-ordered ``p.T``, as the plain formula does: a C-ordered
+    operand changes the bits.  The logits rest on the BLAS giving ``W @ X^T``
+    and ``X @ W^T`` the same bits; OpenBLAS 0.3.31 (Haswell kernels) does not
+    for K above 192 that is not a multiple of 8.
     """
     lt, p = buf.lt, buf.p
     np.matmul(weights, buf.xt, out=lt)
     np.min(lt, axis=0, out=buf.row)
     np.subtract(buf.row, lt, out=lt)
     np.exp(lt, out=lt)
+    np.divide(lt, _pairwise_rows(lt, buf.acc, buf.row), out=lt)
     np.copyto(p.T, lt)
-    np.sum(p, axis=-1, keepdims=True, out=buf.rowsum)
-    np.divide(p, buf.rowsum, out=p)
     # one N-vector temporary; np.take/np.put through buf.row avoid it but were slower
     p.reshape(-1)[buf.flat] -= 1.0
     grad = np.matmul(p.T, buf.features, out=buf.grad)

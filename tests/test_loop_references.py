@@ -256,6 +256,17 @@ def test_descent_matches_plain_step_at_benchmark_shape():
     assert np.array_equal(model.weights, plain_descent(features, labels, iterations=500))
 
 
+@pytest.mark.parametrize("k", [129, 200])
+def test_descent_matches_plain_step_above_numpys_pairwise_block(k):
+    # above 128 classes numpy's pairwise sum splits a row in two, and so must
+    # the descent's class-major row sums
+    rng = np.random.default_rng(k)
+    features = rng.standard_normal((40, 6))
+    labels = LabelMatrix(rng.integers(1, k + 1, size=(40, 2)), k)
+    model = fit_lr(features, labels, iterations=8)
+    assert np.array_equal(model.weights, plain_descent(features, labels, iterations=8))
+
+
 def full_rescoring_bisect_micro(
     labels: LabelMatrix,
     probs_hat: ProbabilityField,

@@ -5,9 +5,11 @@
 For each benchmark workload and seed, the inputs are drawn and written once
 with ``perfbench.workloads`` (from the repository this script sits in).  The
 workload's command line then runs under each tree as
-``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH`` and one
-BLAS thread, as the benchmark runs it.  ``preds.csv`` is compared byte for
-byte, and ``report.json`` field by field without ``wall_clock_s``.  No
+``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH``, one
+BLAS thread and its own output directory as the working directory, as the
+benchmark runs it.  Every file a run writes, and its standard output when it
+prints a report, is compared: JSON reports field by field without
+``wall_clock_s``, every other file byte for byte.  No
 workload runs ``oracle`` or a linear metric, so the same comparison also covers
 both on a seeded N=5, M=2, K=3 fixture: ``oracle`` on micro-F1 (3^10
 assignments) with micro, macro and instance averaging on the labels, and micro
@@ -16,6 +18,9 @@ macro.  ``eval`` also runs twice on a seeded N=200, M=3, K=12 fixture, so that
 two-digit classes occur: once on the files as ``write_predictions`` writes them,
 which the byte reader parses, and once on the same files with CRLF line ends,
 a space-padded cell and a ``+``-signed cell, which ``np.loadtxt`` parses.
+The benchmark reaches ``fit_lr`` only at K=10, so ``train-lr`` runs on seeded
+N=400, D=6, M=2 fixtures at K=3, 10 and 130 (each branch of the descent's
+pairwise row sums), and ``synth`` on a 2 x 2 grid of two seeds at N=300.
 Exits 1 on any difference or failed command, 0 when every output matches.
 """
 
@@ -38,7 +43,7 @@ from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 from metricopt.confusion import LabelMatrix, ProbabilityField  # noqa: E402
-from metricopt.fileio import write_predictions, write_probs  # noqa: E402
+from metricopt.fileio import write_features, write_predictions, write_probs  # noqa: E402
 
 # (command, metric, averaging, with --probs) for each run on the small fixture
 SMALL_CASES = [("oracle", "micro_f1", "micro", False), ("oracle", "micro_f1", "macro", False),
@@ -47,29 +52,40 @@ SMALL_CASES = [("oracle", "micro_f1", "micro", False), ("oracle", "micro_f1", "m
                ("postprocess", "ordinal", "macro", True)]
 
 
-def run_tree(tree: Path, argv: list[str]) -> str | None:
-    """Run the command under ``tree``; the error text when it fails."""
+def run_tree(tree: Path, argv: list[str], out_dir: Path) -> str | None:
+    """Run the command under ``tree`` in ``out_dir``, keeping a printed report
+    as ``stdout.json``; the error text when it fails."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.update({variable: BLAS_THREADS for variable in THREAD_VARIABLES})
     done = subprocess.run([sys.executable, "-m", "metricopt.cli", *argv], env=env,
-                          capture_output=True, text=True)
-    return None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
+                          cwd=out_dir, capture_output=True, text=True)
+    if done.returncode != 0:
+        return f"exit {done.returncode}: {done.stderr.strip()}"
+    if done.stdout:
+        (out_dir / "stdout.json").write_text(done.stdout)
+    return None
 
 
-def _bytes(path: Path) -> bytes | None:
-    return path.read_bytes() if path.exists() else None
+def _report_fields(path: Path) -> dict:
+    report = json.loads(path.read_text())
+    report.pop("wall_clock_s", None)
+    return report
 
 
 def differences(parent_out: Path, change_out: Path) -> list[str]:
     found = []
-    if _bytes(parent_out / "preds.csv") != _bytes(change_out / "preds.csv"):
-        found.append("preds.csv differs")
-    reports = [json.loads((out / "report.json").read_text()) for out in (parent_out, change_out)]
-    for report in reports:
-        report.pop("wall_clock_s", None)
-    for key in sorted(reports[0].keys() | reports[1].keys()):
-        if reports[0].get(key) != reports[1].get(key):
-            found.append(f"report field {key!r} differs")
+    names = {path.name for out in (parent_out, change_out) for path in out.iterdir()}
+    for name in sorted(names):
+        paths = [parent_out / name, change_out / name]
+        if not all(path.exists() for path in paths):
+            found.append(f"{name} written by one tree only")
+        elif name.endswith(".json"):
+            reports = [_report_fields(path) for path in paths]
+            found += [f"{name} field {key!r} differs"
+                      for key in sorted(reports[0].keys() | reports[1].keys())
+                      if reports[0].get(key) != reports[1].get(key)]
+        elif paths[0].read_bytes() != paths[1].read_bytes():
+            found.append(f"{name} differs")
     return found
 
 
@@ -79,7 +95,7 @@ def compare(argv_of, trees: dict[str, Path], work: Path) -> list[str]:
     for side, tree in trees.items():
         outs[side] = work / side
         outs[side].mkdir()
-        error = run_tree(tree, argv_of(str(outs[side])))
+        error = run_tree(tree, argv_of(str(outs[side])), outs[side])
         if error is not None:
             return [f"{side} tree failed: {error}"]
     return differences(outs["parent"], outs["change"])
@@ -135,6 +151,30 @@ def eval_case(rewritten: bool, seed: int):
     return prepare
 
 
+def train_lr_case(k: int, seed: int):
+    """As ``workload_case``, for ``train-lr`` on a seeded N=400, D=6, M=2 fixture
+    with K classes; the probabilities go to ``probs.csv`` in the output directory."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        n, d, m_out = 400, 6, 2
+        labels = rng.integers(1, k + 1, size=(n, m_out))
+        labels[0] = k  # each output's labels name class K, so the command sees K classes
+        write_predictions(work / "labels.csv", LabelMatrix(labels, k))
+        write_features(work / "features.csv", rng.standard_normal((n, d)))
+        return lambda out_dir: ["train-lr", "--features", str(work / "features.csv"),
+                                "--labels", str(work / "labels.csv"), "--seed", str(seed),
+                                "--out", "probs.csv"]
+    return prepare
+
+
+def synth_case(seed: int):
+    """As ``workload_case``, for ``synth`` on a 2 x 2 (c1, c2) grid of two seeds."""
+    def prepare(work: Path):
+        return lambda out_dir: ["synth", "--c1", "0,1.5", "--c2", "0,2", "--n", "300",
+                                "--seeds", f"{seed},{seed + 1}", "--out", "grid.csv"]
+    return prepare
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the reference source tree")
@@ -149,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
               for command, metric, mode, with_probs in SMALL_CASES for seed in args.seeds]
     cases += [(f"eval K=12{' CRLF, padded, signed' * rewritten} seed {seed}",
                eval_case(rewritten, seed)) for rewritten in (False, True) for seed in args.seeds]
+    cases += [(f"train-lr K={k} seed {seed}", train_lr_case(k, seed))
+              for k in (3, 10, 130) for seed in args.seeds]
+    cases += [(f"synth seed {seed}", synth_case(seed)) for seed in args.seeds]
     failed = False
     for label, prepare in cases:
         with tempfile.TemporaryDirectory() as work:
