@@ -36,7 +36,6 @@ from .metrics import (
     as_fractional_linear,
     eval_metric,
     loss_from_gamma,
-    loss_from_gradient,
     metric_from_config,
     metric_gradient,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "generate_synthetic",
     "instance_utility",
     "loss_from_gamma",
-    "loss_from_gradient",
     "macro_utility",
     "metric_from_config",
     "metric_gradient",

@@ -11,10 +11,11 @@ pins the optimal utility to within 2^-T times the initial width after T
 iterations.  Micro averaging shares one loss matrix across all outputs;
 macro averaging runs the same search loop once per output, on that column alone.
 
-Candidates can be scored on the sample confusion of the evaluation labels
-(``eval_mode="sample"``, the estimation setting) or on the expected confusion
-under the supplied probabilities (``eval_mode="expected"``, exact when those
-probabilities are the true conditionals).
+Candidates are counted against the truth the caller passes: a LabelMatrix
+scores sample confusions (the estimation setting), a ProbabilityField scores
+expected confusions (exact when its rows are the true conditionals).  Passing
+the probability estimates themselves, ``bisect_micro(probs, probs, flm, cfg)``,
+scores each candidate on the confusion it expects of itself.
 
 Each iteration re-scores only the rows whose class can still change: the gaps
 between a row's class scores gamma*b_k - a_k (b = eta@B, a = eta@A) are linear
@@ -65,20 +66,17 @@ class BisectionConfig:
     """Search parameters.
 
     ``iterations`` fixes the number of halvings (50 reaches machine
-    precision); ``eval_mode`` picks the confusion that scores candidates.
+    precision).
     A width of ``2^-t`` times the bracket's after t halvings is exact only for ends
     such as ``[0, 1]``, and only until the midpoint rounds onto an end (the width then
     stays a few ulps); for ends such as ``[1/3, 2/3]`` it is one ulp off from the start.
     """
 
     iterations: int = 50
-    eval_mode: str = "sample"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.eval_mode not in ("sample", "expected"):
-            raise ValueError(f"eval_mode must be sample or expected, got {self.eval_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +127,16 @@ def tuning_bracket(flm: FractionalLinearMetric, n_classes: int) -> tuple[float, 
 
 
 def _search(
-    true: np.ndarray, rows: np.ndarray, flm: FractionalLinearMetric, cfg: BisectionConfig, bracket
+    truth: np.ndarray, rows: np.ndarray, flm: FractionalLinearMetric, cfg: BisectionConfig, bracket
 ) -> BisectionTrace:
-    """The search from ``bracket``, (lower, upper), on checked (N, M) labels ``true`` and
-    (N, M, K) probabilities ``rows``: one loss shared by the M outputs."""
+    """The search from ``bracket``, (lower, upper), on (N, M, K) probabilities ``rows``, each
+    prediction counted against its checked ``truth``: (N, M) classes or (N, M, K) weight rows.
+    One loss is shared by the M outputs."""
     lower, upper = bracket
     n, m_out, k = rows.shape
     flat = rows.reshape(-1, k)  # row n*M + m
     preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
-    truth = true if cfg.eval_mode == "sample" else rows  # what each prediction is counted against
 
     def rescore(loss: LossTensor, span: float, active) -> tuple[np.ndarray, bool]:
         """Score ``active`` rows into ``preds``, a block at a time.  Returns their classes, 0 with
@@ -197,65 +195,60 @@ def _search(
 
 
 def bisect_micro(
-    labels: LabelMatrix,
+    truth: LabelMatrix | ProbabilityField,
     probs_hat: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, BisectionTrace]:
     """Search for the micro-averaged optimum with one loss shared by all outputs.
 
-    ``labels`` and ``probs_hat`` are the evaluation split and the probability
-    estimates at its points.  The returned loss repeats that K x K matrix as
-    one slice per output.
+    ``probs_hat`` holds the probability estimates at the evaluation points and
+    ``truth`` what each candidate's predictions there are counted against: the
+    labels (sample confusions) or a probability field (expected confusions).
+    The returned loss repeats that K x K matrix as one slice per output.
     """
-    _check_paired(labels, probs_hat)
-    bracket = tuning_bracket(flm, labels.n_classes)
-    trace = _search(labels.values, probs_hat.values, flm, cfg, bracket)
+    _check_paired(truth, probs_hat)
+    bracket = tuning_bracket(flm, truth.n_classes)
+    trace = _search(truth.values, probs_hat.values, flm, cfg, bracket)
     m_out, k = probs_hat.n_outputs, probs_hat.n_classes
     return LossTensor(np.broadcast_to(trace.final_loss, (m_out, k, k))), trace
 
 
 def bisect_macro(
-    labels: LabelMatrix,
+    truth: LabelMatrix | ProbabilityField,
     probs_hat: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, list[BisectionTrace]]:
     """The micro search on each output alone; the loss slices may differ per output."""
-    _check_paired(labels, probs_hat)
-    bracket = tuning_bracket(flm, labels.n_classes)
+    _check_paired(truth, probs_hat)
+    bracket = tuning_bracket(flm, truth.n_classes)
     traces = [
-        _search(labels.values[:, m : m + 1], probs_hat.values[:, m : m + 1], flm, cfg, bracket)
-        for m in range(labels.n_outputs)
+        _search(truth.values[:, m : m + 1], probs_hat.values[:, m : m + 1], flm, cfg, bracket)
+        for m in range(truth.n_outputs)
     ]
     return LossTensor(np.stack([t.final_loss for t in traces])), traces
 
 
 def brute_force_oracle(
-    labels: LabelMatrix,
-    probs: ProbabilityField | None,
-    spec: MetricSpec,
-    mode: str,
+    truth: LabelMatrix | ProbabilityField, spec: MetricSpec, mode: str
 ) -> tuple[float, PredictionMatrix]:
     """Exhaustively maximize the metric, averaged by ``mode``, over every
     deterministic prediction matrix.
 
-    With ``probs`` given the utility uses expected confusions, otherwise the
-    sample confusions of ``labels``; instance averaging refuses ``probs``.
-    Guarded at K^(N*M) <= 10^6 assignments; ties resolve to the first
-    maximizer in enumeration order (all class-1 predictions first, last cell
-    varying fastest).
+    The predictions are counted against ``truth``: sample confusions of a
+    LabelMatrix, expected confusions of a ProbabilityField, which instance
+    averaging refuses.  Guarded at K^(N*M) <= 10^6 assignments; ties resolve to
+    the first maximizer in enumeration order (all class-1 predictions first,
+    last cell varying fastest).
     """
-    if mode == "instance" and probs is not None:
+    if mode == "instance" and isinstance(truth, ProbabilityField):
         raise ValueError("instance averaging takes no probabilities (--probs), only labels")
-    n, m_out = labels.values.shape
-    k = labels.n_classes
+    n, m_out, k = truth.n_samples, truth.n_outputs, truth.n_classes
     total = k ** (n * m_out)
     if total > MAX_ENUMERATION:
         raise GuardError(f"instance too large: K^(N*M) = {total} exceeds {MAX_ENUMERATION}")
-    if probs is not None:
-        _check_paired(labels, probs)
-    truth = labels.values if probs is None else probs.values
+    true = truth.values
 
     best_utility = -np.inf
     best_preds = None
@@ -265,11 +258,11 @@ def brute_force_oracle(
         p = len(preds)
         # the confusions eval builds for each assignment, all counted in one kernel call
         if mode == "instance":
-            confs = _per_sample(preds.reshape(-1, m_out), np.tile(labels.values, (p, 1)), k)
+            confs = _per_sample(preds.reshape(-1, m_out), np.tile(true, (p, 1)), k)
         else:
             # one kernel column per (assignment, output), each counted against its output's truth
             cols = preds.transpose(1, 0, 2).reshape(n, -1)
-            confs = _joint_counts(cols, k, np.tile(truth, (1, p, 1)[: truth.ndim])) / n
+            confs = _joint_counts(cols, k, np.tile(true, (1, p, 1)[: true.ndim])) / n
         utilities = averaged(spec, confs.reshape(p, -1, k, k), mode)
         utilities = np.where(np.isnan(utilities), -np.inf, utilities)
         local_best = int(np.argmax(utilities))

@@ -136,15 +136,31 @@ def _aligned_labels(labels: LabelMatrix, labels_path: str, path: str, shape: tup
     return LabelMatrix(labels.values, rest[1])
 
 
+def _metric_on(config: dict, n_classes: int, path: str, widen: bool) -> MetricSpec:
+    """The metric of document ``config`` on data of ``n_classes`` classes, the K of file ``path``.
+
+    A metric naming fewer classes is refused, and so is one naming more unless ``widen``: the
+    caller then reads the data at the metric's K, a class that never occurs a zero row and column.
+    """
+    spec = metric_from_config(config, n_classes)
+    if spec.n_classes < n_classes or (spec.n_classes > n_classes and not widen):
+        raise ValueError(f"metric K={spec.n_classes} does not match K={n_classes} of {path}")
+    return spec
+
+
 def _read_tuning_inputs(args) -> tuple[LabelMatrix, ProbabilityField | None, dict, MetricSpec]:
-    """``postprocess``'s and ``oracle``'s labels, ``--probs`` if given, metric document and spec."""
+    """``postprocess``'s and ``oracle``'s labels, ``--probs`` if given, metric document and spec.
+
+    The probability file fixes K; without one the labels are read at the metric's K if it is
+    larger."""
     labels = read_labels(args.labels)
-    probs = None
+    probs, path = None, args.labels
     if args.probs is not None:
-        probs = read_probs(args.probs)
+        probs, path = read_probs(args.probs), args.probs
         labels = _aligned_labels(labels, args.labels, args.probs, probs.values.shape)
     config = _load_metric_config(args.metric)
-    return labels, probs, config, metric_from_config(config, labels.n_classes)
+    spec = _metric_on(config, labels.n_classes, path, widen=probs is None)
+    return LabelMatrix(labels.values, spec.n_classes), probs, config, spec
 
 
 def _utilities_for(
@@ -185,11 +201,12 @@ def cmd_eval(args) -> int:
     labels = read_labels(args.labels)
     preds_raw = read_labels(args.preds)
     _aligned_labels(labels, args.labels, args.preds, preds_raw.values.shape)
-    n_classes = max(labels.n_classes, preds_raw.n_classes)
-    labels = LabelMatrix(labels.values, n_classes)
-    preds = PredictionMatrix(preds_raw.values, n_classes)
+    # K is the largest class of either file, or the metric's if it names more
+    path = args.labels if labels.n_classes >= preds_raw.n_classes else args.preds
     config = _load_metric_config(args.metric)
-    spec = metric_from_config(config, n_classes)
+    spec = _metric_on(config, max(labels.n_classes, preds_raw.n_classes), path, widen=True)
+    labels = LabelMatrix(labels.values, spec.n_classes)
+    preds = PredictionMatrix(preds_raw.values, spec.n_classes)
     conf = sample_confusion(labels, preds)
     utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
     report = _report(args, started, config, utilities=utilities, confusion=conf.values.tolist())
@@ -268,7 +285,7 @@ def cmd_synth(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
     labels, probs, config, spec = _read_tuning_inputs(args)
-    utility, preds = brute_force_oracle(labels, probs, spec, args.averaging)
+    utility, preds = brute_force_oracle(labels if probs is None else probs, spec, args.averaging)
     if args.preds:
         write_predictions(args.preds, preds)
     utilities = {args.averaging: utility}

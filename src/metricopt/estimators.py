@@ -20,7 +20,7 @@ import numpy as np
 from .confusion import LabelMatrix, ProbabilityField, sample_confusion
 from .decision import weighted_predict
 from .errors import GuardError
-from .metrics import LossTensor, MetricSpec, eval_metric, loss_from_gradient
+from .metrics import LossTensor, MetricSpec, eval_metric, loss_from_gamma
 
 
 # fit_lr's gradient-descent step size and L2 penalty
@@ -260,7 +260,7 @@ def _ratio_from_cell(
     k = labels_test.n_classes
     spec = MetricSpec.weighted_exp(k, c2)
     argmax_loss = LossTensor(np.ones((k, k)) - np.eye(k))
-    tuned_loss = loss_from_gradient(spec, np.full((k, k), 1.0 / k**2))
+    tuned_loss = loss_from_gamma(spec.ratio, 1.0)  # B all-ones: every gamma gives this one rule
     preds_base = weighted_predict(argmax_loss, probs_test)
     preds_tuned = weighted_predict(tuned_loss, probs_test)
     utility_base = eval_metric(spec, sample_confusion(labels_test, preds_base).values[0])

@@ -330,13 +330,6 @@ def as_fractional_linear(spec: MetricSpec) -> FractionalLinearMetric:
     return spec.ratio
 
 
-def _rescale_unit(raw: np.ndarray) -> LossTensor:
-    lo, hi = float(raw.min()), float(raw.max())
-    if hi == lo:
-        return LossTensor(np.zeros_like(raw))
-    return LossTensor((raw - lo) / (hi - lo))
-
-
 def loss_from_gamma(flm: FractionalLinearMetric, gamma: float) -> LossTensor:
     """K x K loss gamma*B - A, rescaled into [0, 1].
 
@@ -345,16 +338,11 @@ def loss_from_gamma(flm: FractionalLinearMetric, gamma: float) -> LossTensor:
     """
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    return _rescale_unit(gamma * flm.denominator_B - flm.numerator_A)
-
-
-def loss_from_gradient(spec: MetricSpec, conf: np.ndarray) -> LossTensor:
-    """K x K loss 1 - grad(psi)(conf), rescaled into [0, 1].
-
-    For linear kinds the gradient is constant, so the result does not depend
-    on ``conf``.
-    """
-    return _rescale_unit(1.0 - metric_gradient(spec, conf))
+    raw = gamma * flm.denominator_B - flm.numerator_A
+    lo, hi = float(raw.min()), float(raw.max())
+    if hi == lo:
+        return LossTensor(np.zeros_like(raw))
+    return LossTensor((raw - lo) / (hi - lo))
 
 
 # the params each kind reads; a document naming any other is refused

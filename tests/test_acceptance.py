@@ -196,12 +196,12 @@ def test_criterion_3_oracle_equivalence():
             if n >= 2:
                 spec = MetricSpec.micro_f1(k)
                 flm = as_fractional_linear(spec)
-                cfg = BisectionConfig(iterations=iterations, eval_mode="expected")
-                loss, _ = bisect_micro(labels, probs, flm, cfg)
+                cfg = BisectionConfig(iterations=iterations)
+                loss, _ = bisect_micro(probs, probs, flm, cfg)
                 bis_preds = weighted_predict(loss, probs)
                 conf = expected_confusion(probs, bis_preds)
                 utility = flm.evaluate(conf.values.mean(axis=0))
-                oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
+                oracle_u, _ = brute_force_oracle(probs, spec, "micro")
                 assert utility >= oracle_u - slack
 
 
@@ -251,12 +251,11 @@ def test_criterion_5_averaging_identities():
         for _ in range(10):
             n = int(rng.integers(2, 9))
             labels = LabelMatrix(rng.integers(1, 3, size=(n, 2)), 2)
-            joint_u, _ = brute_force_oracle(labels, None, spec, "macro")
+            joint_u, _ = brute_force_oracle(labels, spec, "macro")
             split_u = 0.0
             for m in range(2):
                 u_m, _ = brute_force_oracle(
                     LabelMatrix(labels.values[:, m : m + 1], 2),
-                    None,
                     spec,
                     "macro",
                 )

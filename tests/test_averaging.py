@@ -143,13 +143,12 @@ class TestMacroDecomposability:
         for _ in range(5):
             n = int(rng.integers(2, 9))
             labels = LabelMatrix(random_labels(rng, n, 2, 2), 2)
-            joint_u, joint_preds = brute_force_oracle(labels, None, spec, "macro")
+            joint_u, joint_preds = brute_force_oracle(labels, spec, "macro")
             per_output_u = 0.0
             columns = []
             for m in range(2):
                 u_m, preds_m = brute_force_oracle(
                     LabelMatrix(labels.values[:, m : m + 1], 2),
-                    None,
                     spec,
                     "macro",
                 )
@@ -165,7 +164,7 @@ class TestOracleModes:
     def test_unknown_mode_rejected(self, rng):
         labels = LabelMatrix(random_labels(rng, 2, 1, 2), 2)
         with pytest.raises(ValueError, match=r"one of \('micro', 'macro', 'instance'\)"):
-            brute_force_oracle(labels, None, MetricSpec.ordinal(2), "median")
+            brute_force_oracle(labels, MetricSpec.ordinal(2), "median")
 
 
 def spec_of_kind(kind, k, rng):

@@ -132,9 +132,9 @@ class TestBisectMicro:
             n = int(rng.integers(2, 7))
             labels = LabelMatrix(random_labels(rng, n, 1, 2), 2)
             probs = ProbabilityField(random_prob_rows(rng, n, 1, 2))
-            cfg = BisectionConfig(iterations=50, eval_mode="expected")
-            loss, _ = bisect_micro(labels, probs, flm, cfg)
-            oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
+            cfg = BisectionConfig(iterations=50)
+            loss, _ = bisect_micro(probs, probs, flm, cfg)
+            oracle_u, _ = brute_force_oracle(probs, spec, "micro")
             preds = weighted_predict(loss, probs)
             achieved = flm.evaluate(expected_confusion(probs, preds).values.mean(axis=0))
             assert achieved >= oracle_u - 2.0**-50 - 1e-9
@@ -244,12 +244,12 @@ class TestRatioBracket:
             n, m_out = int(rng.integers(2, 8)), int(rng.integers(1, 3))
             labels = LabelMatrix(rng.integers(1, 3, size=(n, m_out)), 2)
             probs = ProbabilityField(rng.dirichlet(np.ones(2), size=(n, m_out)))
-            cfg = BisectionConfig(iterations=iterations, eval_mode="expected")
-            loss, trace = bisect_micro(labels, probs, flm, cfg)
+            cfg = BisectionConfig(iterations=iterations)
+            loss, trace = bisect_micro(probs, probs, flm, cfg)
             assert trace.records[0].gamma == 1.5
             conf = expected_confusion(probs, weighted_predict(loss, probs))
             achieved = flm.evaluate(micro_confusion(conf))
-            oracle_u, _ = brute_force_oracle(labels, probs, spec, "micro")
+            oracle_u, _ = brute_force_oracle(probs, spec, "micro")
             assert achieved >= oracle_u - slack
 
 
@@ -288,20 +288,21 @@ class TestSearchProperties:
             assert [t.to_dict() for t in traces] == [t.to_dict() for t in shuffled_traces]
 
     @settings(max_examples=40, deadline=None)
-    @given(eval_mode=st.sampled_from(["sample", "expected"]), **instances)
-    def test_never_below_the_argmax_rule(self, eval_mode, seed, n, m_out, k):
+    @given(expected=st.booleans(), **instances)
+    def test_never_below_the_argmax_rule(self, expected, seed, n, m_out, k):
         labels, probs, flm = random_instance(seed, n, m_out, k)
-        cfg = BisectionConfig(iterations=50, eval_mode=eval_mode)
+        truth = probs if expected else labels
+        cfg = BisectionConfig(iterations=50)
         argmax_preds = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
-        if eval_mode == "sample":
-            conf = sample_confusion(labels, argmax_preds)
-        else:
+        if expected:
             conf = expected_confusion(probs, argmax_preds)
+        else:
+            conf = sample_confusion(labels, argmax_preds)
 
-        _, trace = bisect_micro(labels, probs, flm, cfg)
+        _, trace = bisect_micro(truth, probs, flm, cfg)
         micro = micro_confusion(conf)
         assert trace.final_utility >= flm.evaluate(micro)
-        _, traces = bisect_macro(labels, probs, flm, cfg)
+        _, traces = bisect_macro(truth, probs, flm, cfg)
         for m, output_trace in enumerate(traces):
             assert output_trace.final_utility >= flm.evaluate(conf.values[m])
 
@@ -314,19 +315,16 @@ class TestSearchProperties:
         labels, probs, flm = random_instance(seed, n, m_out, k)
         if negative is not None:  # micro-F1 with a random negative class
             flm = MetricSpec.micro_f1(k, negative % k + 1).ratio
-        cfg = BisectionConfig(iterations=50, eval_mode="expected")
+        cfg = BisectionConfig(iterations=50)
         try:
-            _, trace = bisect_micro(labels, probs, flm, cfg)
-            _, traces = bisect_macro(labels, probs, flm, cfg)
+            _, trace = bisect_micro(probs, probs, flm, cfg)
+            _, traces = bisect_macro(probs, probs, flm, cfg)
         except GuardError:
             return
         lo, hi = tuning_bracket(flm, k)
-        columns = [(labels, probs)] + [
-            (LabelMatrix(labels.values[:, [m]], k), ProbabilityField(probs.values[:, [m]]))
-            for m in range(m_out)
-        ]
-        for (column_labels, column_probs), output_trace in zip(columns, [trace, *traces]):
-            best = exact_family_best(column_labels, column_probs, flm, expected=True)
+        columns = [probs] + [ProbabilityField(probs.values[:, [m]]) for m in range(m_out)]
+        for column, output_trace in zip(columns, [trace, *traces]):
+            best = exact_family_best(column, column, flm)
             last = output_trace.records[-1]
             assert last.lower - 1e-12 <= best <= last.upper + 1e-12
             assert output_trace.final_utility >= best - 2**-50 * (hi - lo) - 1e-12
@@ -353,7 +351,7 @@ class TestSearchProperties:
 class TestBruteForceOracle:
     def test_single_sample_predicts_truth(self):
         labels = LabelMatrix(np.array([[2]]), 2)
-        utility, preds = brute_force_oracle(labels, None, MetricSpec.ordinal(2), "micro")
+        utility, preds = brute_force_oracle(labels, MetricSpec.ordinal(2), "micro")
         assert utility == 1.0
         assert preds.values[0, 0] == 2
 
@@ -370,7 +368,7 @@ class TestBruteForceOracle:
             den = 2 - conf[0, :].sum() - conf[:, 0].sum()
             if den > 0:
                 best = max(best, num / den)
-        utility, _ = brute_force_oracle(labels, None, spec, "micro")
+        utility, _ = brute_force_oracle(labels, spec, "micro")
         assert utility == pytest.approx(best, abs=1e-12)
 
     def test_oracle_dominates_gamma_grid(self, rng):
@@ -378,7 +376,7 @@ class TestBruteForceOracle:
         probs = ProbabilityField(random_prob_rows(rng, 6, 1, 2))
         spec = MetricSpec.micro_f1(2)
         flm = as_fractional_linear(spec)
-        utility, _ = brute_force_oracle(labels, None, spec, "micro")
+        utility, _ = brute_force_oracle(labels, spec, "micro")
         for gamma in np.linspace(0, 1, 500):
             loss = loss_from_gamma(flm, gamma)
             scores = np.einsum("lk,nml->nmk", loss.values, probs.values)
@@ -392,25 +390,42 @@ class TestBruteForceOracle:
 
     def test_instance_averaging_supported(self, rng):
         labels = LabelMatrix(random_labels(rng, 3, 2, 2), 2)
-        utility, preds = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), "instance")
+        utility, preds = brute_force_oracle(labels, MetricSpec.micro_f1(2), "instance")
         achieved = instance_utility(MetricSpec.micro_f1(2), labels, preds)
         assert achieved == pytest.approx(utility, abs=1e-12)
 
     def test_oversized_instance_guarded(self):
         labels = LabelMatrix(np.ones((25, 1), dtype=int), 3)
         with pytest.raises(GuardError, match="instance too large"):
-            brute_force_oracle(labels, None, MetricSpec.ordinal(3), "micro")
+            brute_force_oracle(labels, MetricSpec.ordinal(3), "micro")
         assert 3**25 > MAX_ENUMERATION
 
     def test_expected_mode_equals_sample_mode_on_onehot(self, rng):
         labels = LabelMatrix(random_labels(rng, 4, 1, 3), 3)
         onehot = np.zeros((4, 1, 3))
         onehot[np.arange(4), 0, labels.values[:, 0] - 1] = 1.0
-        spec = MetricSpec.ordinal(3)
-        u_sample, p_sample = brute_force_oracle(labels, None, spec, "micro")
-        u_expected, p_expected = brute_force_oracle(labels, ProbabilityField(onehot), spec, "micro")
-        assert u_sample == pytest.approx(u_expected, abs=1e-12)
-        np.testing.assert_array_equal(p_sample.values, p_expected.values)
+        for spec in (MetricSpec.ordinal(3), MetricSpec.micro_f1(3)):
+            for mode in ("micro", "macro"):
+                u_sample, p_sample = brute_force_oracle(labels, spec, mode)
+                u_expected, p_expected = brute_force_oracle(ProbabilityField(onehot), spec, mode)
+                assert u_sample == u_expected
+                np.testing.assert_array_equal(p_sample.values, p_expected.values)
+
+        # both searches count a one-hot field of the labels exactly as the labels
+        labels = LabelMatrix(random_labels(rng, 30, 2, 3), 3)
+        onehot = ProbabilityField(np.eye(3)[labels.values - 1])
+        probs = ProbabilityField(random_prob_rows(rng, 30, 2, 3))
+        flm = MetricSpec.micro_f1(3).ratio
+        cfg = BisectionConfig(iterations=50)
+
+        def bits(traces):  # repr tells every float apart, -0.0 from 0.0 included
+            return [repr(t.to_dict()) for t in (traces if isinstance(traces, list) else [traces])]
+
+        for search in (bisect_micro, bisect_macro):
+            loss_sample, traces_sample = search(labels, probs, flm, cfg)
+            loss_expected, traces_expected = search(onehot, probs, flm, cfg)
+            assert bits(traces_sample) == bits(traces_expected)
+            assert loss_sample.values.tobytes() == loss_expected.values.tobytes()
 
 
 def oracle_instance(seed, n, m_out, k, kind):
@@ -461,7 +476,7 @@ def test_oracle_utility_is_the_evaluated_utility_of_its_predictions(
     labels, probs, spec = oracle_instance(seed, n, m_out, k, kind)
     probs = probs if with_probs else None
     try:
-        utility, preds = brute_force_oracle(labels, probs, spec, mode)
+        utility, preds = brute_force_oracle(labels if probs is None else probs, spec, mode)
     except GuardError:
         return
     assert utility == evaluated_utility(spec, labels, probs, preds, mode)

@@ -554,25 +554,26 @@ class TestPostprocess:
         assert not preds_path.exists()
 
     @pytest.mark.parametrize(
-        "metric, exit_code, message",
+        "metric, k, exit_code, message",
         [
-            ("macro_f1", 2, "bisection unsupported for this metric: macro_f1"),
-            ('{"kind": "micro_f1", "params": {"negative_clas": 1}}', 2,
+            ("macro_f1", 2, 2, "bisection unsupported for this metric: macro_f1"),
+            ('{"kind": "micro_f1", "params": {"negative_clas": 1}}', 2, 2,
              "metric params.negative_clas is not a parameter of micro_f1"),
             ('{"kind": "fractional_linear", "A": [[1, 0], [0, 1]], "B": [[1, -0.5], [0.5, 1]]}',
-             3, "bisection needs B >= 0"),
-            (json.dumps({"kind": "fractional_linear", "A": np.eye(3).tolist(),
-                         "B": np.ones((3, 3)).tolist()}),
-             2, "metric K=3 does not match labels K=2"),
-            (json.dumps({"kind": "loss_based", "L": (1 - np.eye(3)).tolist()}),
-             2, "metric K=3 does not match labels K=2"),
+             2, 3, "bisection needs B >= 0"),
+            # a metric naming fewer classes than the labels hold; one naming more widens K
+            (json.dumps({"kind": "fractional_linear", "A": np.eye(2).tolist(),
+                         "B": np.ones((2, 2)).tolist()}),
+             3, 2, "metric K=2 does not match K=3 of"),
+            (json.dumps({"kind": "loss_based", "L": (1 - np.eye(2)).tolist()}),
+             3, 2, "metric K=2 does not match K=3 of"),
         ],
         ids=["unsupported", "misspelt", "no-bracket", "ratio-K", "loss-K"],
     )
     def test_metric_refused_before_the_fit(
-        self, tmp_path, rng, capsys, monkeypatch, metric, exit_code, message
+        self, tmp_path, rng, capsys, monkeypatch, metric, k, exit_code, message
     ):
-        self._write_problem(tmp_path, rng, k=2)
+        self._write_problem(tmp_path, rng, k=k)
         write_features(tmp_path / "features.csv", rng.standard_normal((40, 2)))
 
         def no_fit(*args, **kwargs):
@@ -740,7 +741,7 @@ class TestOracle:
         from metricopt.bisection import brute_force_oracle
         from metricopt.metrics import MetricSpec, eval_metric
 
-        expected, _ = brute_force_oracle(labels, None, MetricSpec.micro_f1(2), "micro")
+        expected, _ = brute_force_oracle(labels, MetricSpec.micro_f1(2), "micro")
         report = RunReport.from_json(out.read_text())
         assert report.utilities["micro"] == expected
 
@@ -805,8 +806,111 @@ class TestOracle:
         assert "instance too large" in capsys.readouterr().err
 
 
+def _wide_metric(kind):
+    """A 3-class document of ``kind`` and the document of its top-left 2 x 2 block.
+
+    On data of classes 1-2 predicting class 3 never helps: it costs the largest
+    loss, or adds to the denominator alone, so every optimum stays in the block.
+    """
+    if kind == "loss_based":
+        wide = {"kind": kind, "L": [[0.0, 0.4, 1.0], [0.7, 0.0, 1.0], [0.2, 0.5, 0.0]]}
+    else:
+        wide = {"kind": kind, "A": [[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.3]],
+                "B": [[1.0, 0.5, 5.0], [0.6, 1.0, 5.0], [1.0, 1.0, 1.0]]}
+    block = {name: value if name == "kind" else [row[:2] for row in value[:2]]
+             for name, value in wide.items()}
+    return json.dumps(wide), json.dumps(block)
+
+
+def _no_counting(monkeypatch):
+    def counting(*args, **kwargs):
+        raise AssertionError("counted before the class counts were checked")
+
+    for target in ("confusion._joint_counts", "bisection._joint_counts", "bisection._per_sample"):
+        monkeypatch.setattr(f"metricopt.{target}", counting)
+
+
+class TestMetricClassCount:
+    """K is the largest class in the files, or the metric's K where it names more
+    classes: an absent class is a zero row and column."""
+
+    def _utilities(self, tmp_path, argv, metric):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--metric", metric, "--out", str(out)]) == 0
+        return RunReport.from_json(out.read_text())
+
+    @pytest.mark.parametrize("kind", ["loss_based", "fractional_linear"])
+    def test_eval_widens_to_the_metric(self, tmp_path, rng, kind):
+        labels, preds = (tmp_path / "labels.csv", tmp_path / "preds.csv")
+        write_predictions(labels, LabelMatrix(random_labels(rng, 20, 2, 2), 2))
+        write_predictions(preds, PredictionMatrix(random_labels(rng, 20, 2, 2), 2))
+        argv = ["eval", "--labels", str(labels), "--preds", str(preds)]
+        wide, block = _wide_metric(kind)
+        got = self._utilities(tmp_path, argv, wide)
+        expected = self._utilities(tmp_path, argv, block)
+        assert got.utilities == pytest.approx(expected.utilities, rel=1e-12, abs=1e-15)
+        confusion = np.array(got.confusion)
+        assert confusion.shape == (2, 3, 3)
+        assert not confusion[:, 2, :].any() and not confusion[:, :, 2].any()
+        np.testing.assert_array_equal(confusion[:, :2, :2], expected.confusion)
+
+    @pytest.mark.parametrize("averaging", ["micro", "macro", "instance"])
+    @pytest.mark.parametrize("kind", ["loss_based", "fractional_linear"])
+    def test_oracle_widens_to_the_metric(self, tmp_path, rng, kind, averaging):
+        labels = tmp_path / "labels.csv"
+        write_predictions(labels, LabelMatrix(random_labels(rng, 5, 1, 2), 2))
+        argv = ["oracle", "--labels", str(labels), "--averaging", averaging]
+        wide, block = _wide_metric(kind)
+        got = self._utilities(tmp_path, argv, wide)
+        expected = self._utilities(tmp_path, argv, block)
+        assert got.utilities[averaging] == pytest.approx(expected.utilities[averaging], rel=1e-12)
+
+    def test_postprocess_features_widens_to_the_metric(self, tmp_path, rng):
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.csv"
+        write_predictions(labels, LabelMatrix(random_labels(rng, 40, 2, 2), 2))
+        write_features(features, rng.standard_normal((40, 3)))
+        argv = ["postprocess", "--labels", str(labels), "--features", str(features)]
+        report = self._utilities(tmp_path, argv, _wide_metric("loss_based")[0])
+        assert report.loss["K"] == 3
+        assert np.array(report.confusion).shape == (2, 3, 3)
+
+    @pytest.mark.parametrize("holder", ["labels", "preds"])
+    def test_eval_refuses_fewer_classes_naming_the_file(
+        self, tmp_path, rng, capsys, monkeypatch, holder
+    ):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("labels", "preds")}
+        for name, path in paths.items():
+            values = random_labels(rng, 20, 1, 2)
+            values[0, 0] = 3 if name == holder else 2
+            write_predictions(path, LabelMatrix(values, 3))
+        _no_counting(monkeypatch)
+        code = main(["eval", "--labels", str(paths["labels"]), "--preds", str(paths["preds"]),
+                     "--metric", _wide_metric("loss_based")[1]])
+        assert code == 2
+        assert f"metric K=2 does not match K=3 of {paths[holder]}" in capsys.readouterr().err
+
+    def test_oracle_refuses_fewer_classes_naming_the_labels(self, tmp_path, capsys, monkeypatch):
+        labels = tmp_path / "labels.csv"
+        write_predictions(labels, LabelMatrix(np.array([[1], [2], [3], [2]]), 3))
+        _no_counting(monkeypatch)
+        block = _wide_metric("fractional_linear")[1]
+        assert main(["oracle", "--labels", str(labels), "--metric", block]) == 2
+        assert f"metric K=2 does not match K=3 of {labels}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["oracle", "postprocess"])
+    def test_probability_file_fixes_k(self, tmp_path, rng, capsys, monkeypatch, command):
+        labels, probs = tmp_path / "labels.csv", tmp_path / "probs.csv"
+        write_predictions(labels, LabelMatrix(np.array([[1], [2], [1], [2]]), 2))
+        write_probs(probs, ProbabilityField(random_prob_rows(rng, 4, 1, 2)))
+        _no_counting(monkeypatch)
+        wide = _wide_metric("fractional_linear")[0]
+        argv = [command, "--labels", str(labels), "--probs", str(probs), "--metric", wide]
+        assert main(argv) == 2
+        assert f"metric K=3 does not match K=2 of {probs}" in capsys.readouterr().err
+
+
 class TestTrainLR:
-    def test_emits_probability_file(self, tmp_path, rng):
+    def test_emits_probability_file(self, tmp_path, rng, capsys):
         features = rng.standard_normal((40, 3))
         labels = LabelMatrix(random_labels(rng, 40, 2, 3), 3)
         write_features(tmp_path / "features.csv", features)
@@ -824,6 +928,8 @@ class TestTrainLR:
         assert code == 0
         probs = read_probs(out)
         assert probs.values.shape == (40, 2, 3)
+        # --out names the probability file, so the report goes to stdout
+        assert RunReport.from_json(capsys.readouterr().out).command[0] == "train-lr"
 
     def test_negative_iterations_refused(self, tmp_path, rng, capsys):
         write_features(tmp_path / "features.csv", rng.standard_normal((4, 2)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricopt.averaging import micro_confusion
-from metricopt.bisection import BisectionConfig, bisect_macro, bisect_micro, brute_force_oracle
+from metricopt.bisection import BisectionConfig, bisect_macro, bisect_micro
 from metricopt.confusion import (
     ConfusionTensor,
     LabelMatrix,
@@ -249,12 +249,6 @@ PAIRED_CALLERS = {
         True,
         lambda labels, probs: bisect_macro(
             labels, probs, MetricSpec.micro_f1(labels.n_classes).ratio, BisectionConfig()
-        ),
-    ),
-    "brute_force_oracle": (
-        True,
-        lambda labels, probs: brute_force_oracle(
-            labels, probs, MetricSpec.micro_f1(labels.n_classes), "micro"
         ),
     ),
 }

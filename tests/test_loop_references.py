@@ -186,12 +186,12 @@ def test_instance_oracle_matches_per_cell_loop_and_refuses_probabilities(n, m_ou
             best, best_preds = utility, preds
 
     with pytest.raises(ValueError, match=r"instance averaging takes no probabilities \(--probs\)"):
-        brute_force_oracle(labels, probs, spec, "instance")
+        brute_force_oracle(probs, spec, "instance")
     if best_preds is None:
         with pytest.raises(GuardError):
-            brute_force_oracle(labels, None, spec, "instance")
+            brute_force_oracle(labels, spec, "instance")
         return
-    utility, preds = brute_force_oracle(labels, None, spec, "instance")
+    utility, preds = brute_force_oracle(labels, spec, "instance")
     assert utility == best
     np.testing.assert_array_equal(preds.values, best_preds)
 
@@ -268,23 +268,23 @@ def test_descent_matches_plain_step_above_numpys_pairwise_block(k):
 
 
 def full_rescoring_bisect_micro(
-    labels: LabelMatrix,
+    truth: LabelMatrix | ProbabilityField,
     probs_hat: ProbabilityField,
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, BisectionTrace]:
     """The micro search as it was before it skipped settled rows: every row is
     re-scored by ``weighted_predict`` at every gamma."""
-    confusion._check_paired(labels, probs_hat)
-    m_out, k = labels.n_outputs, flm.n_classes
-    lower, upper = tuning_bracket(flm, labels.n_classes)
+    confusion._check_paired(truth, probs_hat)
+    m_out, k = truth.n_outputs, flm.n_classes
+    lower, upper = tuning_bracket(flm, truth.n_classes)
 
     def utility_of(loss: LossTensor) -> float:
         preds = weighted_predict(loss, probs_hat)
-        if cfg.eval_mode == "sample":
-            conf = sample_confusion(labels, preds)
+        if isinstance(truth, LabelMatrix):
+            conf = sample_confusion(truth, preds)
         else:
-            conf = expected_confusion(probs_hat, preds)
+            conf = expected_confusion(truth, preds)
         return flm.evaluate(micro_confusion(conf))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
@@ -335,6 +335,23 @@ def _search_metric(rng, k, kind):
     return FractionalLinearMetric(rng.integers(0, 4, size=(k, k)), rng.integers(1, 4, size=(k, k)))
 
 
+def _truth(kind, rng, labels, probs, rows):
+    """What the search counts against: the labels, the estimates themselves, or
+    another field of the same ``rows`` kind, drawn last so the other kinds keep their draws."""
+    if kind == "labels":
+        return labels
+    if kind == "probs_hat":
+        return probs
+    n, m_out, k = probs.values.shape
+    return ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
+
+
+def _column(truth, m):
+    if isinstance(truth, LabelMatrix):
+        return LabelMatrix(truth.values[:, m : m + 1], truth.n_classes)
+    return ProbabilityField(truth.values[:, m : m + 1])
+
+
 def _bits(trace: BisectionTrace) -> str:
     return repr(trace.to_dict())  # repr tells every float apart, -0.0 from 0.0 included
 
@@ -347,49 +364,51 @@ def _bits(trace: BisectionTrace) -> str:
     iterations=st.integers(1, 70),
     rows=st.sampled_from(["dirichlet", "onehot", "rounded", "duplicated"]),
     metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
-    eval_mode=st.sampled_from(["sample", "expected"]),
+    truth=st.sampled_from(["labels", "probs_hat", "field"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=1, m_out=1, k=2, iterations=70, rows="onehot", metric="micro_f1", eval_mode="sample",
+@example(n=1, m_out=1, k=2, iterations=70, rows="onehot", metric="micro_f1", truth="labels",
          seed=0)
 @example(n=40, m_out=4, k=6, iterations=70, rows="dirichlet", metric="micro_f1",
-         eval_mode="expected", seed=1)
+         truth="probs_hat", seed=1)
 @example(n=5, m_out=2, k=1, iterations=70, rows="dirichlet", metric="integer_ratio",
-         eval_mode="sample", seed=2)
+         truth="labels", seed=2)
 @example(n=5, m_out=2, k=1, iterations=70, rows="onehot", metric="integer_ratio",
-         eval_mode="expected", seed=3)
+         truth="probs_hat", seed=3)
+@example(n=40, m_out=3, k=5, iterations=70, rows="dirichlet", metric="micro_f1", truth="field",
+         seed=4)
 def test_search_matches_full_rescoring_bit_for_bit(
-    n, m_out, k, iterations, rows, metric, eval_mode, seed
+    n, m_out, k, iterations, rows, metric, truth, seed
 ):
     rng = np.random.default_rng(seed)
     labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
     probs = ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
     flm = _search_metric(rng, k, metric)
-    cfg = BisectionConfig(iterations, eval_mode)
+    truth = _truth(truth, rng, labels, probs, rows)
+    cfg = BisectionConfig(iterations)
 
-    def outcome(search, labels, probs):
+    def outcome(search, truth, probs):
         try:
-            return search(labels, probs, flm, cfg)
+            return search(truth, probs, flm, cfg)
         except GuardError:  # a candidate with a degenerate denominator
             return None
 
-    expected = outcome(full_rescoring_bisect_micro, labels, probs)
-    got = outcome(bisect_micro, labels, probs)
+    expected = outcome(full_rescoring_bisect_micro, truth, probs)
+    got = outcome(bisect_micro, truth, probs)
     assert (got is None) == (expected is None)
     if got is not None:
         assert _bits(got[1]) == _bits(expected[1])
         assert got[0].values.tobytes() == expected[0].values.tobytes()
 
     columns = [
-        (LabelMatrix(labels.values[:, m : m + 1], k), ProbabilityField(probs.values[:, m : m + 1]))
-        for m in range(m_out)
+        (_column(truth, m), ProbabilityField(probs.values[:, m : m + 1])) for m in range(m_out)
     ]
     expected = [outcome(full_rescoring_bisect_micro, *column) for column in columns]
     if any(result is None for result in expected):
         with pytest.raises(GuardError):
-            bisect_macro(labels, probs, flm, cfg)
+            bisect_macro(truth, probs, flm, cfg)
         return
-    loss, traces = bisect_macro(labels, probs, flm, cfg)
+    loss, traces = bisect_macro(truth, probs, flm, cfg)
     assert [_bits(t) for t in traces] == [_bits(t) for _, t in expected]
     stacked = np.stack([t.final_loss for _, t in expected])
     assert loss.values.tobytes() == stacked.tobytes()
@@ -403,14 +422,14 @@ def test_search_matches_full_rescoring_bit_for_bit(
     iterations=st.integers(1, 60),
     rows=st.sampled_from(["dirichlet", "onehot", "rounded", "duplicated"]),
     metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
-    eval_mode=st.sampled_from(["sample", "expected"]),
+    truth=st.sampled_from(["labels", "probs_hat"]),
     block_rows=st.sampled_from([1, 2, 3, 7]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=30, m_out=4, k=5, iterations=60, rows="dirichlet", metric="micro_f1",
-         eval_mode="sample", block_rows=7, seed=0)
+         truth="labels", block_rows=7, seed=0)
 def test_search_in_small_row_blocks_matches_full_rescoring(
-    n, m_out, k, iterations, rows, metric, eval_mode, block_rows, seed
+    n, m_out, k, iterations, rows, metric, truth, block_rows, seed
 ):
     """With blocks of a few rows, so block edges fall inside the first passes and
     the active rows alike, the search keeps the bits of re-scoring every row."""
@@ -418,15 +437,16 @@ def test_search_in_small_row_blocks_matches_full_rescoring(
     labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
     probs = ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
     flm = _search_metric(rng, k, metric)
-    cfg = BisectionConfig(iterations, eval_mode)
+    truth = _truth(truth, rng, labels, probs, rows)
+    cfg = BisectionConfig(iterations)
     try:
-        expected = full_rescoring_bisect_micro(labels, probs, flm, cfg)
+        expected = full_rescoring_bisect_micro(truth, probs, flm, cfg)
     except GuardError:  # a candidate with a degenerate denominator
         with patch.object(confusion, "_BLOCK_CELLS", block_rows * k), pytest.raises(GuardError):
-            bisect_micro(labels, probs, flm, cfg)
+            bisect_micro(truth, probs, flm, cfg)
         return
     with patch.object(confusion, "_BLOCK_CELLS", block_rows * k):
-        got = bisect_micro(labels, probs, flm, cfg)
+        got = bisect_micro(truth, probs, flm, cfg)
     assert _bits(got[1]) == _bits(expected[1])
     assert got[0].values.tobytes() == expected[0].values.tobytes()
 
@@ -443,7 +463,7 @@ def test_search_rescores_rows_whose_tie_is_decided_by_rounding():
     probs = rng.dirichlet(np.ones(3), size=(12, 1))
     probs[:6, 0] = [0.4, 0.2, 0.4]
     labels = LabelMatrix(rng.integers(1, 4, size=(12, 1)), 3)
-    cfg = BisectionConfig(70, "sample")
+    cfg = BisectionConfig(70)
     got = bisect_micro(labels, ProbabilityField(probs), flm, cfg)
     expected = full_rescoring_bisect_micro(labels, ProbabilityField(probs), flm, cfg)
     assert _bits(got[1]) == _bits(expected[1])
