@@ -173,6 +173,9 @@ def _search(
     records: list[IterationRecord] = []
     for _ in range(cfg.iterations):
         gamma = 0.5 * (lower + upper)
+        if records and gamma == records[-1].gamma:  # every later record would repeat the last
+            records += [records[-1]] * (cfg.iterations - len(records))
+            break
         cand_loss = loss_from_gamma(flm, gamma)
         span = np.ptp(gamma * flm.denominator_B - flm.numerator_A)
         end, changed = rescore(cand_loss, span, active)

@@ -2,7 +2,9 @@
 weighted classifiers, run the synthetic grid, and query the exhaustive oracle.
 
 Every command is deterministic given its seed (flag --seed, falling back to
-the METRICOPT_SEED environment variable, then 0) and emits a JSON report.
+the METRICOPT_SEED environment variable, then 0) and emits a JSON report:
+each command returns its metric document and report fields, and ``main``
+times it and builds and emits the report.
 Exit codes: 0 success, 2 input error, 3 numerical/guard error.
 """
 
@@ -14,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,7 @@ class RunReport:
     wall_clock_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -81,7 +83,7 @@ REPORT_FLAGS = {
 }
 
 
-def _report(args, started: float, config: dict | None = None, **fields) -> RunReport:
+def _report(args, started: float, config: dict | None, fields: dict) -> RunReport:
     """The report of the command ``args`` parsed, with the command's own ``fields``.
 
     ``command`` is the subcommand and each of its REPORT_FLAGS that is set;
@@ -120,47 +122,43 @@ def _load_metric_config(arg: str) -> dict:
     return {"kind": text}
 
 
-def _aligned_labels(labels: LabelMatrix, labels_path: str, path: str, shape: tuple) -> LabelMatrix:
-    """Refuse an input file of ``shape`` that disagrees with the labels in rows, in outputs
-    where ``shape`` has them ((N, M) predictions, (N, M, K) probabilities, not (N,) features),
-    or in a probability file's K below theirs.  Returns the labels, bound to that K if any."""
+def _paired(labels: LabelMatrix, labels_path: str, path: str, shape: tuple) -> None:
+    """Refuse an input file of ``shape`` that disagrees with the labels in rows, or in outputs
+    where ``shape`` has them ((N, M) predictions, (N, M, K) probabilities, not (N,) features)."""
     n_rows, *rest = shape
     if n_rows != labels.n_samples:
         raise ValueError(f"{path} has {n_rows} rows but {labels_path} has {labels.n_samples}")
     if rest and rest[0] != labels.n_outputs:
         raise ValueError(f"{path} has {rest[0]} outputs but {labels_path} has {labels.n_outputs}")
-    if len(rest) < 2:
-        return labels
-    if rest[1] < labels.n_classes:
-        raise ValueError(f"probability file K={rest[1]} below labels K={labels.n_classes}")
-    return LabelMatrix(labels.values, rest[1])
 
 
-def _metric_on(config: dict, n_classes: int, path: str, widen: bool) -> MetricSpec:
-    """The metric of document ``config`` on data of ``n_classes`` classes, the K of file ``path``.
+def _bound_inputs(args, *class_paths) -> tuple[dict, MetricSpec, list, ProbabilityField | None]:
+    """Read ``--labels``, the other class files ``class_paths`` and ``--probs`` where given,
+    pair each with the labels, and bind them all to one class count K.
 
-    A metric naming fewer classes is refused, and so is one naming more unless ``widen``: the
-    caller then reads the data at the metric's K, a class that never occurs a zero row and column.
+    A probability file fixes K: no class file may exceed it, and the metric must name it.
+    Otherwise K is the largest class seen, or the metric's K if that is larger, an absent
+    class a zero row and column.  A metric naming fewer classes is refused, naming the file
+    that sets K.  Returns the metric document and spec, the class matrices at K (labels
+    first) and the probabilities or None.
     """
-    spec = metric_from_config(config, n_classes)
-    if spec.n_classes < n_classes or (spec.n_classes > n_classes and not widen):
-        raise ValueError(f"metric K={spec.n_classes} does not match K={n_classes} of {path}")
-    return spec
-
-
-def _read_tuning_inputs(args) -> tuple[LabelMatrix, ProbabilityField | None, dict, MetricSpec]:
-    """``postprocess``'s and ``oracle``'s labels, ``--probs`` if given, metric document and spec.
-
-    The probability file fixes K; without one the labels are read at the metric's K if it is
-    larger."""
-    labels = read_labels(args.labels)
-    probs, path = None, args.labels
-    if args.probs is not None:
-        probs, path = read_probs(args.probs), args.probs
-        labels = _aligned_labels(labels, args.labels, args.probs, probs.values.shape)
+    files = [(path, read_labels(path)) for path in (args.labels, *class_paths)]
+    probs = None if getattr(args, "probs", None) is None else read_probs(args.probs)
+    for path, held in files[1:] + ([] if probs is None else [(args.probs, probs)]):
+        _paired(files[0][1], args.labels, path, held.values.shape)
+    holder, top = max(files, key=lambda file: file[1].n_classes)  # the first of the largest K
+    k = top.n_classes
+    if probs is not None:
+        if probs.n_classes < k:
+            raise ValueError(f"probability file K={probs.n_classes} below labels K={k}")
+        holder, k = args.probs, probs.n_classes
     config = _load_metric_config(args.metric)
-    spec = _metric_on(config, labels.n_classes, path, widen=probs is None)
-    return LabelMatrix(labels.values, spec.n_classes), probs, config, spec
+    spec = metric_from_config(config, k)
+    if spec.n_classes < k or (spec.n_classes > k and probs is not None):
+        raise ValueError(f"metric K={spec.n_classes} does not match K={k} of {holder}")
+    k = spec.n_classes
+    bound = [m if m.n_classes == k else LabelMatrix(m.values, k) for _, m in files]
+    return config, spec, bound, probs
 
 
 def _utilities_for(
@@ -196,22 +194,11 @@ def _emit(report: RunReport, out: str | None) -> None:
         print(text)
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    labels = read_labels(args.labels)
-    preds_raw = read_labels(args.preds)
-    _aligned_labels(labels, args.labels, args.preds, preds_raw.values.shape)
-    # K is the largest class of either file, or the metric's if it names more
-    path = args.labels if labels.n_classes >= preds_raw.n_classes else args.preds
-    config = _load_metric_config(args.metric)
-    spec = _metric_on(config, max(labels.n_classes, preds_raw.n_classes), path, widen=True)
-    labels = LabelMatrix(labels.values, spec.n_classes)
-    preds = PredictionMatrix(preds_raw.values, spec.n_classes)
+def cmd_eval(args) -> tuple[dict, dict]:
+    config, spec, (labels, preds), _ = _bound_inputs(args, args.preds)
     conf = sample_confusion(labels, preds)
     utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
-    report = _report(args, started, config, utilities=utilities, confusion=conf.values.tolist())
-    _emit(report, args.out)
-    return 0
+    return config, {"utilities": utilities, "confusion": conf.values.tolist()}
 
 
 def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,10 +208,9 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return order[:cut], order[cut:]
 
 
-def cmd_postprocess(args) -> int:
-    started = time.perf_counter()
+def cmd_postprocess(args) -> tuple[dict, dict]:
     cfg = BisectionConfig(iterations=args.iters)
-    labels, probs, config, spec = _read_tuning_inputs(args)
+    config, spec, (labels,), probs = _bound_inputs(args)
     # a metric the search cannot tune is refused before features are read or fit
     if spec.ratio is None:
         raise ValueError(f"bisection unsupported for this metric: {spec.kind}")
@@ -234,7 +220,7 @@ def cmd_postprocess(args) -> int:
         labels_eval, probs_eval, probs_full = labels, probs, probs
     else:
         features = read_features(args.features)
-        _aligned_labels(labels, args.labels, args.features, features.shape[:1])
+        _paired(labels, args.labels, args.features, features.shape[:1])
         fit_idx, eval_idx = _split_indices(labels.n_samples, _resolve_seed(args.seed))
         if len(eval_idx) == 0:
             raise ValueError(f"N={labels.n_samples} leaves the evaluation split empty")
@@ -255,19 +241,15 @@ def cmd_postprocess(args) -> int:
         write_predictions(args.preds, preds)
     conf = sample_confusion(labels, preds)
     utilities = _utilities_for(spec, labels, preds, conf, args.averaging)
-    report = _report(
-        args, started, config, utilities=utilities, confusion=conf.values.tolist(),
-        loss=loss.to_dict(), trace=trace_doc,
-    )
-    _emit(report, args.out)
-    return 0
+    return config, {"utilities": utilities, "confusion": conf.values.tolist(),
+                    "loss": loss.to_dict(), "trace": trace_doc}
 
 
 def _parse_list(text: str, kind=float) -> list:
     return [kind(part) for part in text.split(",") if part.strip()]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     c1_values = _parse_list(args.c1)
     c2_values = _parse_list(args.c2)
     seeds = _parse_list(args.seeds, int)
@@ -279,31 +261,23 @@ def cmd_synth(args) -> int:
     # an object table keeps each seed an int, so it prints as 0, not 0.0
     table = np.array([list(row.values()) for row in rows], dtype=object)
     _write_table(args.out, [",".join(rows[0])], table)
-    return 0
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    labels, probs, config, spec = _read_tuning_inputs(args)
+def cmd_oracle(args) -> tuple[dict, dict]:
+    config, spec, (labels,), probs = _bound_inputs(args)
     utility, preds = brute_force_oracle(labels if probs is None else probs, spec, args.averaging)
     if args.preds:
         write_predictions(args.preds, preds)
-    utilities = {args.averaging: utility}
-    report = _report(args, started, config, utilities=utilities, predictions=preds.values.tolist())
-    _emit(report, args.out)
-    return 0
+    return config, {"utilities": {args.averaging: utility}, "predictions": preds.values.tolist()}
 
 
-def cmd_train_lr(args) -> int:
-    started = time.perf_counter()
+def cmd_train_lr(args) -> tuple[None, dict]:
     features = read_features(args.features)
     labels = read_labels(args.labels)
-    _aligned_labels(labels, args.labels, args.features, features.shape[:1])
+    _paired(labels, args.labels, args.features, features.shape[:1])
     model = fit_lr(features, labels, iterations=args.iters)
     write_probs(args.out, predict_proba(model, features))
-    # --out names the probability file, so the report goes to stdout
-    _emit(_report(args, started, utilities={}), None)
-    return 0
+    return None, {"utilities": {}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,14 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        done = args.func(args)
+        if done is not None:
+            # a command that echoes --out in its report writes data there and prints the report
+            echoed = "out" in REPORT_FLAGS[args.subcommand]
+            _emit(_report(args, started, *done), None if echoed else args.out)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def console_entry() -> None:

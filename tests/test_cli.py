@@ -908,6 +908,94 @@ class TestMetricClassCount:
         assert main(argv) == 2
         assert f"metric K=3 does not match K=2 of {probs}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["oracle", "postprocess"])
+    def test_probability_file_below_the_labels_refused(
+        self, tmp_path, rng, capsys, monkeypatch, command
+    ):
+        labels, probs = tmp_path / "labels.csv", tmp_path / "probs.csv"
+        write_predictions(labels, LabelMatrix(np.array([[1], [3], [1], [2]]), 3))
+        write_probs(probs, ProbabilityField(random_prob_rows(rng, 4, 1, 2)))
+        _no_counting(monkeypatch)
+        argv = [command, "--labels", str(labels), "--probs", str(probs), "--metric", "micro_f1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: probability file K=2 below labels K=3\n"
+
+
+def _rule_outcome(class_files, k_metric, probs):
+    """(K, None) for a run the class-count rule accepts, (None, message) for one it refuses.
+
+    ``class_files`` lists (path, K) with the labels first and ``probs`` is (path, K) or None:
+    a probability file fixes K and the metric must name it; otherwise K is the largest class
+    seen or the metric's if larger, and a metric naming fewer classes is refused."""
+    if probs is not None:
+        (labels_path, k_labels), (probs_path, k_probs) = class_files[0], probs
+        if k_probs < k_labels:
+            return None, f"probability file K={k_probs} below labels K={k_labels}"
+        if k_metric != k_probs:
+            return None, f"metric K={k_metric} does not match K={k_probs} of {probs_path}"
+        return k_probs, None
+    holder, k_files = max(class_files, key=lambda pair: pair[1])  # the first of the largest K
+    if k_metric < k_files:
+        return None, f"metric K={k_metric} does not match K={k_files} of {holder}"
+    return max(k_files, k_metric), None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k_labels=st.integers(2, 4),
+    k_preds=st.integers(2, 4),
+    k_metric=st.integers(2, 5),
+    k_probs=st.one_of(st.none(), st.integers(2, 4)),
+    seed=st.integers(0, 2**16),
+)
+def test_one_class_count_rule_for_every_command(k_labels, k_preds, k_metric, k_probs, seed):
+    """``eval``, ``oracle`` and ``postprocess --probs`` all run at the K of one rule, or exit 2
+    with that rule's message naming the file that sets K."""
+    import contextlib
+    import io
+
+    from metricopt.bisection import brute_force_oracle
+
+    rng = np.random.default_rng(seed)
+    n = 4
+    loss = rng.uniform(0.1, 1.0, (k_metric, k_metric)) * (1 - np.eye(k_metric))
+    metric = {"kind": "loss_based", "L": loss.tolist()}
+    with tempfile.TemporaryDirectory() as work:
+        paths = {name: os.path.join(work, f"{name}.csv") for name in ("labels", "preds", "probs")}
+        for name, k in (("labels", k_labels), ("preds", k_preds)):
+            values = random_labels(rng, n, 1, k)
+            values[0, 0] = k  # the file names class K, so the command sees K classes
+            write_predictions(paths[name], LabelMatrix(values, k))
+        probs = None
+        if k_probs is not None:
+            write_probs(paths["probs"], ProbabilityField(random_prob_rows(rng, n, 1, k_probs)))
+            probs = (paths["probs"], k_probs)
+        labels = (paths["labels"], k_labels)
+        runs = [("eval", ["--preds", paths["preds"]], [labels, (paths["preds"], k_preds)], None),
+                ("oracle", [] if probs is None else ["--probs", paths["probs"]], [labels], probs)]
+        if probs is not None:
+            runs.append(("postprocess", ["--probs", paths["probs"], "--iters", "2"],
+                         [labels], probs))
+        for command, extra, class_files, probs_file in runs:
+            out, err = os.path.join(work, f"{command}.json"), io.StringIO()
+            argv = [command, "--labels", paths["labels"], *extra,
+                    "--metric", json.dumps(metric), "--out", out]
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            k, message = _rule_outcome(class_files, k_metric, probs_file)
+            if message is not None:
+                assert (code, err.getvalue()) == (2, f"error: {message}\n"), command
+                continue
+            assert code == 0, (command, err.getvalue())
+            report = RunReport.from_json(Path(out).read_text())
+            if command == "oracle":
+                truth = (LabelMatrix(read_labels(paths["labels"]).values, k) if probs is None
+                         else read_probs(paths["probs"]))
+                expected, _ = brute_force_oracle(truth, metric_from_config(metric), "micro")
+                assert report.utilities == {"micro": expected}
+            else:
+                assert np.array(report.confusion).shape == (1, k, k), command
+
 
 class TestTrainLR:
     def test_emits_probability_file(self, tmp_path, rng, capsys):
@@ -1074,6 +1162,27 @@ class TestReportPinned:
                                      "--labels", paths["labels"], "--iters", "7",
                                      "--out", paths["lr"]]
         assert report["config_hash"] == _sha256({"iters": 7, "seed": 0})
+
+    @pytest.mark.parametrize("command", ["eval", "postprocess", "oracle", "train-lr"])
+    def test_json_text_is_the_asdict_text(self, paths, monkeypatch, command):
+        import dataclasses
+
+        import metricopt.cli as cli
+
+        argv = {
+            "eval": ["eval", "--labels", paths["labels"], "--preds", paths["preds"],
+                     "--metric", "ordinal"],
+            "postprocess": ["postprocess", "--labels", paths["labels"], "--probs", paths["probs"],
+                            "--metric", "micro_f1", "--averaging", "macro", "--iters", "5"],
+            "oracle": ["oracle", "--labels", paths["few"], "--metric", "micro_f1"],
+            "train-lr": ["train-lr", "--features", paths["features"], "--labels", paths["labels"],
+                         "--iters", "5", "--out", paths["lr"]],
+        }[command]
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda report, out: emitted.append(report))
+        assert main(argv) == 0
+        (report,) = emitted
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
 
 
 class TestConsoleEntry:

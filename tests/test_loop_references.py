@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt import confusion
+from metricopt import bisection, confusion
 from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
 from metricopt.bisection import (
     BisectionConfig,
@@ -467,3 +467,26 @@ def test_search_rescores_rows_whose_tie_is_decided_by_rounding():
     got = bisect_micro(labels, ProbabilityField(probs), flm, cfg)
     expected = full_rescoring_bisect_micro(labels, ProbabilityField(probs), flm, cfg)
     assert _bits(got[1]) == _bits(expected[1])
+
+
+def test_search_stops_once_the_midpoint_repeats():
+    # Once the halved bracket's midpoint rounds to the last gamma, every later record
+    # repeats the last one: the search pads its trace instead of scoring the rows again.
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(4), size=(300, 2))
+    draws = (probs.cumsum(axis=2) < rng.random((300, 2, 1))).sum(axis=2) + 1
+    labels, field = LabelMatrix(np.minimum(draws, 4), 4), ProbabilityField(probs)
+    flm = MetricSpec.micro_f1(4).ratio
+
+    def search(iterations):
+        with patch("metricopt.bisection._row_scores", wraps=bisection._row_scores) as scores:
+            _, trace = bisect_micro(labels, field, flm, BisectionConfig(iterations))
+        return scores.call_count, trace
+
+    calls, trace = search(70)
+    gammas = [record.gamma for record in trace.records]
+    first = next(i for i in range(1, len(gammas)) if gammas[i] == gammas[i - 1])
+    assert first < 70 and set(trace.records[first:]) == {trace.records[first - 1]}
+    assert calls == search(first)[0]
+    expected = full_rescoring_bisect_micro(labels, field, flm, BisectionConfig(70))
+    assert _bits(trace) == _bits(expected[1])

@@ -18,6 +18,11 @@ macro.  ``eval`` also runs twice on a seeded N=200, M=3, K=12 fixture, so that
 two-digit classes occur: once on the files as ``write_predictions`` writes them,
 which the byte reader parses, and once on the same files with CRLF line ends,
 a space-padded cell and a ``+``-signed cell, which ``np.loadtxt`` parses.
+Every workload takes K from its files, so four seeded cases run at a K set
+elsewhere: ``eval`` with a 3-class ``loss_based`` metric on 2-class files,
+``eval`` whose predictions file holds the larger K, ``oracle`` micro with a
+3-class ``fractional_linear`` metric on 2-class labels, and
+``postprocess --features`` with the 3-class ``loss_based`` metric.
 The benchmark reaches ``fit_lr`` only at K=10, so ``train-lr`` runs on seeded
 N=400, D=6, M=2 fixtures at K=3, 10 and 130 (each branch of the descent's
 pairwise row sums), and ``synth`` on a 2 x 2 grid of two seeds at N=300.
@@ -50,6 +55,19 @@ SMALL_CASES = [("oracle", "micro_f1", "micro", False), ("oracle", "micro_f1", "m
                ("oracle", "micro_f1", "instance", False), ("oracle", "micro_f1", "micro", True),
                ("oracle", "micro_f1", "macro", True), ("postprocess", "ordinal", "micro", True),
                ("postprocess", "ordinal", "macro", True)]
+
+# 3-class metric documents; on 2-class files the command reads the files at K=3
+WIDE_LOSS = json.dumps({"kind": "loss_based", "L": [[0, 0.4, 1], [0.7, 0, 1], [0.2, 0.5, 0]]})
+WIDE_RATIO = json.dumps({"kind": "fractional_linear",
+                         "A": [[0.9, 0.1, 0], [0.2, 0.8, 0], [0.3, 0.3, 0.3]],
+                         "B": [[1, 0.5, 5], [0.6, 1, 5], [1, 1, 1]]})
+# (case name, command, predictions K for eval, metric) for each run at a K the labels do not set
+CLASS_COUNT_CASES = [
+    ("eval 3-class loss_based on K=2 files", "eval", 2, WIDE_LOSS),
+    ("eval K=2 labels, K=4 predictions", "eval", 4, "micro_f1"),
+    ("oracle micro 3-class fractional_linear on K=2 labels", "oracle", 2, WIDE_RATIO),
+    ("postprocess --features 3-class loss_based on K=2 labels", "postprocess", 2, WIDE_LOSS),
+]
 
 
 def run_tree(tree: Path, argv: list[str], out_dir: Path) -> str | None:
@@ -151,6 +169,27 @@ def eval_case(rewritten: bool, seed: int):
     return prepare
 
 
+def class_count_case(command: str, k_preds: int, metric: str, seed: int):
+    """As ``workload_case``, for ``command`` with ``metric`` on seeded 2-class labels, with
+    predictions of ``k_preds`` classes (``eval``) or D=3 features (``postprocess``); N=5,
+    M=2 for ``oracle``, N=60, M=2 otherwise."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        n, m_out = (5, 2) if command == "oracle" else (60, 2)
+        for name, k in (("labels", 2), ("preds", k_preds)):
+            values = rng.integers(1, k + 1, size=(n, m_out))
+            values[0, 0] = k  # the file names class K, so the command sees K classes
+            write_predictions(work / f"{name}.csv", LabelMatrix(values, k))
+        write_features(work / "features.csv", rng.standard_normal((n, 3)))
+        inputs = {"eval": ["--preds", str(work / "preds.csv")],
+                  "postprocess": ["--features", str(work / "features.csv")], "oracle": []}
+        argv = [command, "--labels", str(work / "labels.csv"), *inputs[command],
+                "--metric", metric, "--seed", str(seed)]
+        written = [] if command == "eval" else ["--preds", "preds.csv"]
+        return lambda out_dir: argv + ["--out", f"{out_dir}/report.json", *written]
+    return prepare
+
+
 def train_lr_case(k: int, seed: int):
     """As ``workload_case``, for ``train-lr`` on a seeded N=400, D=6, M=2 fixture
     with K classes; the probabilities go to ``probs.csv`` in the output directory."""
@@ -189,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
               for command, metric, mode, with_probs in SMALL_CASES for seed in args.seeds]
     cases += [(f"eval K=12{' CRLF, padded, signed' * rewritten} seed {seed}",
                eval_case(rewritten, seed)) for rewritten in (False, True) for seed in args.seeds]
+    cases += [(f"{name} seed {seed}", class_count_case(command, k_preds, metric, seed))
+              for name, command, k_preds, metric in CLASS_COUNT_CASES for seed in args.seeds]
     cases += [(f"train-lr K={k} seed {seed}", train_lr_case(k, seed))
               for k in (3, 10, 130) for seed in args.seeds]
     cases += [(f"synth seed {seed}", synth_case(seed)) for seed in args.seeds]
