@@ -5,8 +5,9 @@ files start with a ``# M=...,K=...`` metadata line followed by ``p_m_k``
 columns in output-major order.  Feature files carry an ``x1..xD`` header.
 Cells are plain, unquoted decimal numbers and empty lines are skipped.
 Floats are written with shortest round-trip repr so files reproduce exactly.
-Label files in the form ``write_predictions`` writes are parsed from their bytes;
-every other file, and every float table, by ``np.loadtxt``.
+Files in the form the writers write (label files, and float tables of finite
+values) are parsed from their bytes, a block at a time; any other file by
+``np.loadtxt``, to the same values and messages.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .confusion import LabelMatrix, ProbabilityField
 _WRITE_CELLS = 1 << 12
 # bytes of a label file parsed at a time, so its temporaries stay a few MB at any size
 _READ_BYTES = 1 << 16
+# bytes of a float table parsed at a time: its temporaries are about 20 bytes a byte, and
+# its 30-odd numpy calls a block made 64 KiB blocks 1.3x slower to parse than 128 KiB
+_READ_FLOAT_BYTES = 1 << 17
 
 
 def _open(path: str | Path):
@@ -73,32 +77,35 @@ def _read_table(handle, path, n_columns: int, dtype, first_line: int) -> np.ndar
     return values
 
 
-def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
-    """The int64 rows under the header of a canonical integer table, or None.
+def _read_blocks(path, n_columns: int, header_lines: int, dtype, block_bytes: int,
+                 cell_bytes: int, parse) -> np.ndarray | None:
+    """The ``dtype`` rows under ``header_lines`` lines of a canonical table, or None.
 
-    Canonical is what ``write_predictions`` writes: cells of 1 to 18 ASCII digits,
-    ``,`` between them, ``\\n`` after each row (the last may lack it), exactly
-    ``n_columns`` cells a row, no blank lines.  A first pass counts the rows, so
-    the result is allocated once; a second parses ``_READ_BYTES`` at a time, each
-    block cut at its last newline.  Anything else is left to ``_read_table``.
+    A first pass counts the rows, so the result is allocated once; a second reads
+    ``block_bytes`` at a time, each block cut at its last newline and its tail
+    carried.  ``parse(text, n_columns, flat)`` fills the front of ``flat`` from the
+    rows in ``text`` and returns their cell count, or None outside its grammar.  A
+    row longer than ``cell_bytes`` a cell is left to ``_read_table`` too, so a body
+    without newlines is given up within a block.
     """
     with open(path, "rb") as raw:
-        if b"\r" in raw.readline():
-            return None  # text mode ends this header elsewhere
+        for _ in range(header_lines):
+            if b"\r" in raw.readline():
+                return None  # text mode ends this header elsewhere
         body = raw.tell()
         rows, last = 0, b"\n"
-        while block := raw.read(_READ_BYTES):
+        while block := raw.read(block_bytes):
             rows += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
             last = block[-1:]
         rows += last != b"\n"
         if rows == 0:
             return None
-        out = np.empty((rows, n_columns), dtype=np.int64)
+        out = np.empty((rows, n_columns), dtype=dtype)
         flat = out.reshape(-1)  # a view: the result owns its memory, so it is never copied
         raw.seek(body)
         done, rest = 0, b""
         while True:
-            block = raw.read(_READ_BYTES)
+            block = raw.read(block_bytes)
             if not block:
                 if not rest:
                     break
@@ -106,43 +113,75 @@ def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
             text = rest + block
             cut = text.rfind(b"\n") + 1
             text, rest = np.frombuffer(text, dtype=np.uint8, count=cut), text[cut:]
-            if len(rest) >= 19 * n_columns:
-                return None  # no newline within a canonical row's most bytes: 18-digit cells and commas
-            codes = text - ord("0")  # wraps every non-digit above 9
-            if cut and codes[0] > 9:
-                return None  # an empty cell, or a byte that is neither digit nor separator
-            # the last digit of each cell, if none is empty: the byte before each separator
-            last_digits = np.flatnonzero(codes[1:] > 9)
-            cells = len(last_digits)
-            block_rows = cells // n_columns
-            if (
-                cells % n_columns
-                or done + cells > flat.size
-                or np.count_nonzero(text == ord("\n")) != block_rows
-                or np.count_nonzero(text == ord(",")) != cells - block_rows
-                or (text[last_digits[n_columns - 1 :: n_columns] + 1] != ord("\n")).any()
-            ):
-                return None  # a separator other than "," and "\n", or a ragged row
-            digits = codes.take(last_digits)
-            if (digits > 9).any():
-                return None  # an empty cell
-            values = flat[done : done + cells]
-            values[:] = digits
-            # cells of more than `place` digits, until every digit in the block is counted
-            left, alive = cut - 2 * cells, True
-            for place in range(1, 18):
-                if not left:
-                    break
-                # a first cell of `place` digits or fewer wraps to the block's end; masked out
-                digits = codes.take(last_digits - place)
-                alive &= digits <= 9
-                left -= np.count_nonzero(alive)
-                # widened first: numpy < 2 would keep a uint8 product for 10**2
-                values += np.where(alive, digits, 0).astype(np.int64) * 10**place
-            if left:
-                return None  # a cell of 19 digits or more
+            if len(rest) >= cell_bytes * n_columns:
+                return None  # no newline within a canonical row's most bytes
+            cells = parse(text, n_columns, flat[done:]) if cut else 0
+            if cells is None:
+                return None
             done += cells
     return out if done == flat.size else None
+
+
+def _parse_digits(text: np.ndarray, n_columns: int, flat: np.ndarray) -> int | None:
+    """Rows of cells of 1 to 18 ASCII digits, as int64: see ``_read_blocks``."""
+    codes = text - ord("0")  # wraps every non-digit above 9
+    if codes[0] > 9:
+        return None  # an empty cell, or a byte that is neither digit nor separator
+    # the last digit of each cell, if none is empty: the byte before each separator
+    last_digits = np.flatnonzero(codes[1:] > 9)
+    cells = len(last_digits)
+    block_rows = cells // n_columns
+    if (
+        cells % n_columns
+        or cells > flat.size
+        or np.count_nonzero(text == ord("\n")) != block_rows
+        or np.count_nonzero(text == ord(",")) != cells - block_rows
+        or (text[last_digits[n_columns - 1 :: n_columns] + 1] != ord("\n")).any()
+    ):
+        return None  # a separator other than "," and "\n", or a ragged row
+    digits = codes.take(last_digits)
+    if (digits > 9).any():
+        return None  # an empty cell
+    values = flat[:cells]
+    values[:] = digits
+    # cells of more than `place` digits, until every digit in the block is counted
+    left, alive = len(text) - 2 * cells, True
+    for place in range(1, 18):
+        if not left:
+            break
+        # a first cell of `place` digits or fewer wraps to the block's end; masked out
+        digits = codes.take(last_digits - place)
+        alive &= digits <= 9
+        left -= np.count_nonzero(alive)
+        # widened first: numpy < 2 would keep a uint8 product for 10**2
+        values += np.where(alive, digits, 0).astype(np.int64) * 10**place
+    return None if left else cells  # left: a cell of 19 digits or more
+
+
+def _read_digits(path: str | Path, n_columns: int) -> np.ndarray | None:
+    """The int64 rows under the header of a canonical integer table, or None.
+
+    Canonical is what ``write_predictions`` writes: cells of 1 to 18 ASCII digits,
+    ``,`` between them, ``\\n`` after each row (the last may lack it), exactly
+    ``n_columns`` cells a row, no blank lines.  Anything else is left to ``_read_table``.
+    """
+    return _read_blocks(path, n_columns, 1, np.int64, _READ_BYTES, 19, _parse_digits)
+
+
+def _read_floats(path: str | Path, n_columns: int, header_lines: int) -> np.ndarray | None:
+    """The float64 rows under ``header_lines`` lines of a canonical float table, or None.
+
+    Canonical is what ``write_probs`` and ``write_features`` write for finite values,
+    as ``_floats.parse_floats`` spells it out, with rows as in ``_read_digits``.  Needs
+    an x87 long double.
+    """
+    from . import _floats  # imported here, so a command that reads no float table never loads it
+
+    if not _floats.X87:
+        return None
+    # 40 bytes a cell: more than a repr cell (at most 24) or %.17e cell (25) and its separator
+    return _read_blocks(path, n_columns, header_lines, np.float64, _READ_FLOAT_BYTES, 40,
+                        _floats.parse_floats)
 
 
 def _read_headed(path: str | Path, dtype) -> np.ndarray:
@@ -154,7 +193,10 @@ def _read_headed(path: str | Path, dtype) -> np.ndarray:
         names = _cells(header)
         if not all(name.strip() for name in names):
             raise ValueError(f"{path}:1: malformed header {names!r}")
-        array = _read_digits(path, len(names)) if dtype is np.int64 else None
+        if dtype is np.int64:
+            array = _read_digits(path, len(names))
+        else:
+            array = _read_floats(path, len(names), 1)
         if array is None:
             array = _read_table(handle, path, len(names), dtype, first_line=2)
     array.flags.writeable = False  # a matrix then holds this array, not a copy
@@ -200,7 +242,9 @@ def read_probs(path: str | Path) -> ProbabilityField:
         expected_header = [f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)]
         if [c.strip() for c in _cells(handle.readline())] != expected_header:
             raise ValueError(f"{path}:2: header must be {','.join(expected_header)}")
-        array = _read_table(handle, path, m_out * k, float, first_line=3)
+        array = _read_floats(path, m_out * k, 2)
+        if array is None:
+            array = _read_table(handle, path, m_out * k, float, first_line=3)
     array.flags.writeable = False
     return ProbabilityField(array.reshape(len(array), m_out, k))
 

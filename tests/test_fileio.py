@@ -1,7 +1,8 @@
 """CSV readers and writers: round trips, the writers' text against per-cell
-reference loops, the byte reader of label files against the general reader,
-line-numbered errors for corrupted files, the error messages of malformed
-headers, and the memory a large label file takes to read."""
+reference loops, the byte readers of label and float files against the general
+reader, line-numbered errors for corrupted files, the error messages of
+malformed headers, and the memory a large label or probability file takes to
+read."""
 
 import re
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metricopt import cli, fileio
+from metricopt import _floats, cli, fileio
 from metricopt.confusion import LabelMatrix, ProbabilityField
 from metricopt.fileio import (
     read_features,
@@ -464,3 +465,207 @@ def test_a_million_row_label_file_reads_within_four_arrays(tmp_path, digits):
     # the matrix holds the parsed array itself; the rest is one block of bytes and its temporaries
     assert peak <= 1.5 * final, f"peak {peak / 1e6:.1f} MB for an {final / 1e6:.0f} MB array"
     np.testing.assert_array_equal(labels.values[:, 0], classes)
+
+
+# a repr whose long double quotient m / 10**s lies on a float64 midpoint, so that rounding
+# it again to float64 gives the wrong neighbour
+MIDPOINT = 0.839396101051679
+# cells at the ends of float64's range, in exponent form, and at and one ulp around 2**k
+FLOAT_EXAMPLES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1e22, 0.1, MIDPOINT]
+FLOAT_EXAMPLES += [np.nextafter(2.0**k, side) for k in (-60, -1, 0, 1, 52, 53, 60)
+                   for side in (-np.inf, 0.0, np.inf)]
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# any finite bit pattern, or a value that repr writes without an exponent
+float_tables = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    elements=st.integers(0, 2**64 - 1).map(_bits_to_float).filter(np.isfinite)
+    | st.floats(-1e9, 1e9)
+    | st.floats(0, 1)
+    | st.sampled_from(FLOAT_EXAMPLES),
+)
+
+
+def _write_float_table(path, kind, table):
+    """Write ``table`` as ``write_probs`` (M=1) or ``write_features`` would, its values
+    unchecked; the number of header lines."""
+    columns = range(1, table.shape[1] + 1)
+    if kind == "probs":
+        head = [f"# M=1,K={len(columns)}", ",".join(f"p_1_{column}" for column in columns)]
+    else:
+        head = [",".join(f"x{column}" for column in columns)]
+    fileio._write_table(path, head, table)
+    return len(head)
+
+
+def _float_outcome(read, path):
+    try:
+        values = read(path)
+    except ValueError as exc:
+        return str(exc)
+    values = getattr(values, "values", values)
+    return values.shape, values.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=float_tables, kind=st.sampled_from(["probs", "features"]),
+       read_bytes=st.sampled_from([1, 7, 64, 1 << 18]))
+@example(table=np.array([FLOAT_EXAMPLES[:4]]), kind="features", read_bytes=1 << 18)
+@example(table=np.array([FLOAT_EXAMPLES[4:8]]), kind="features", read_bytes=7)
+@example(table=np.array([[MIDPOINT, -MIDPOINT]]), kind="features", read_bytes=1 << 18)
+@example(table=np.array(FLOAT_EXAMPLES[9:]).reshape(-1, 3), kind="probs", read_bytes=64)
+@example(table=np.array([[0.25, 0.75], [1.0, 0.0]]), kind="probs", read_bytes=1)
+def test_float_byte_reader_agrees_with_the_general_reader(table, kind, read_bytes):
+    """The float byte reader parses every file the writers write as ``_read_table``
+    does, to the bit; the readers give what the general reader alone gives."""
+    read = read_probs if kind == "probs" else read_features
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        fileio, "_READ_FLOAT_BYTES", read_bytes
+    ):
+        path = Path(tmp) / f"{kind}.csv"
+        header_lines = _write_float_table(path, kind, table)
+        fast = fileio._read_floats(path, table.shape[1], header_lines)
+        assert (fast is not None) == _floats.X87
+        if fast is not None:
+            with open(path) as handle:
+                for _ in range(header_lines):
+                    handle.readline()
+                general = fileio._read_table(
+                    handle, path, table.shape[1], float, first_line=header_lines + 1
+                )
+            assert fast.dtype == general.dtype == np.float64
+            assert fast.shape == general.shape == table.shape
+            assert fast.tobytes() == general.tobytes() == table.tobytes()
+        got = _float_outcome(read, path)
+        with mock.patch.object(fileio, "_read_floats", lambda *args: None):
+            assert got == _float_outcome(read, path)
+
+
+@pytest.mark.skipif(not _floats.X87, reason="the midpoint is one of x87 long double")
+def test_the_midpoint_example_lands_on_a_midpoint():
+    """``MIDPOINT`` keeps testing the re-read: its quotient rounds to the wrong float64."""
+    quotient = np.longdouble(839396101051679) / np.longdouble(10**15)
+    assert quotient.reshape(1).view(np.uint64)[0] & 0x7FF == 0x400
+    assert float(np.float64(quotient)) != MIDPOINT
+
+
+# (cell, whether the byte reader gives the file up); a cell it keeps is read by float()
+# when it has too many digits for the windows
+ODD_CELLS = [
+    ("0.500000", False),  # %.6f
+    ("1E-5", True),
+    ("+0.5", True),
+    (".5", True),
+    ("5.", True),
+    (" 0.5", True),
+    ("0.5 ", True),
+    ("nan", True),
+    ("-inf", True),
+    ("1_0.5", True),
+    ("1e5", True),
+    ("1e+", True),
+    ("1.5e-05e-05", True),
+    ("1.2.3", True),
+    ("--1.0", True),
+    ("-", True),
+    ("0x1p-2", True),
+    ("", True),
+    ("7", False),
+    ("-7e-05", False),
+    ("1e-0005", False),
+    ("1234567890.123456789", False),  # 19 digits, 10 of them whole
+    ("0.12345678901234567890", False),  # 20 significant digits
+    ("0.123456789012345678901", False),  # 21 significant digits: m would pass 2**64
+    ("0.1234567890123456789012345", False),  # 25 fraction digits
+    ("1.234567890123456e+16", False),  # s = -1
+    ("1.2345678901234567e-11", False),  # s = 27
+    ("1.2345678901234567e-12", False),  # s = 28
+    ("1.5e-100000005", False),  # an exponent of 9 digits
+    ("12345678.123456789012", False),
+    ("1.7976931348623157e+308", False),
+    ("4.9406564584124654e-324", False),
+]
+
+
+@pytest.mark.parametrize(
+    "cell, given_up", ODD_CELLS, ids=[cell or "empty" for cell, _ in ODD_CELLS]
+)
+def test_an_odd_cell_keeps_the_general_readers_outcome(tmp_path, cell, given_up):
+    path = tmp_path / "features.csv"
+    path.write_text(f"x1,x2\n0.25,{cell}\n-3.5,0.125\n")
+    fast = fileio._read_floats(path, 2, 1)
+    assert (fast is None) == (given_up or not _floats.X87)
+    got = _float_outcome(read_features, path)
+    with mock.patch.object(fileio, "_read_floats", lambda *args: None):
+        assert got == _float_outcome(read_features, path)
+    if fast is not None:
+        assert fast[0, 1] == float(cell)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0.25,0.75\r\n0.5,0.5\r\n", "0.25,0.75\n\n0.5,0.5\n", "0.25,0.75,\n0.5,0.5\n",
+     "0.25,0.75\n0.5\n", "0.25;0.75\n", "0.25,0.75\n0.5,0.5"],
+    ids=["CRLF", "blank line", "trailing comma", "ragged", "semicolon", "no last newline"],
+)
+def test_an_odd_row_keeps_the_general_readers_outcome(tmp_path, body):
+    path = tmp_path / "probs.csv"
+    path.write_text("# M=1,K=2\np_1_1,p_1_2\n" + body)
+    fast = fileio._read_floats(path, 2, 2)
+    assert (fast is not None) == (body == "0.25,0.75\n0.5,0.5" and _floats.X87)
+    got = _float_outcome(read_probs, path)
+    with mock.patch.object(fileio, "_read_floats", lambda *args: None):
+        assert got == _float_outcome(read_probs, path)
+
+
+def test_without_an_x87_long_double_the_general_reader_reads_floats(tmp_path):
+    """Where the long double is not x87 extended precision (MSVC's float64, ARM's
+    binary128 or double-double), float tables go to ``np.loadtxt`` alone."""
+    rng = np.random.default_rng(0)
+    probs, features = tmp_path / "probs.csv", tmp_path / "features.csv"
+    write_probs(probs, ProbabilityField(_probs(rng, 50, 2, 3)))
+    write_features(features, rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-9, 9, (50, 3)))
+    outcomes = [_float_outcome(read_probs, probs), _float_outcome(read_features, features)]
+    with mock.patch.object(_floats, "X87", False):
+        assert fileio._read_floats(probs, 6, 2) is None
+        assert outcomes == [_float_outcome(read_probs, probs),
+                            _float_outcome(read_features, features)]
+
+
+@pytest.mark.parametrize("valid", range(9))
+def test_the_eight_digit_step_matches_int(valid):
+    """Each window's last ``valid`` bytes are its digits; the bytes before them are masked
+    off, whatever they hold.  Every operand stays uint64, so numpy < 2 keeps every digit."""
+    rng = np.random.default_rng(valid)
+    texts = [bytes(rng.integers(ord("0"), ord("9") + 1, 8, dtype=np.uint8)) for _ in range(200)]
+    texts += [b"9" * 8, b"0" * 8]
+    texts += [junk[: 8 - valid] + b"9" * valid for junk in (b"-e.,\n+_x", b"\xff" * 8)]
+    windows = np.array([int.from_bytes(text, "little") for text in texts], dtype=np.uint64)
+    got = _floats.digit_windows(windows, np.full(len(texts), valid))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [int(text[8 - valid :] or b"0") for text in texts]
+
+
+def test_a_million_row_probability_file_reads_within_one_and_a_half_arrays(tmp_path):
+    n, k = 10**6, 4
+    rows = _probs(np.random.default_rng(0), 1000, 1, k)
+    path = tmp_path / "probs.csv"
+    write_probs(path, ProbabilityField(rows))
+    meta, header, body = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(meta + b"\n" + header + b"\n" + body * (n // len(rows)))
+    tracemalloc.start()
+    try:
+        probs = read_probs(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    final = probs.values.nbytes
+    assert final == 8 * n * k
+    # the field holds the parsed array itself; the rest is one block of bytes and its temporaries
+    assert peak <= 1.5 * final, f"peak {peak / 1e6:.1f} MB for a {final / 1e6:.0f} MB array"
+    assert probs.values.tobytes() == np.tile(rows, (n // len(rows), 1, 1)).tobytes()

@@ -25,8 +25,13 @@ elsewhere: ``eval`` with a 3-class ``loss_based`` metric on 2-class files,
 ``postprocess --features`` with the 3-class ``loss_based`` metric.
 The benchmark reaches ``fit_lr`` only at K=10, so ``train-lr`` runs on seeded
 N=400, D=6, M=2 fixtures at K=3, 10 and 130 (each branch of the descent's
-pairwise row sums), and ``synth`` on a 2 x 2 grid of two seeds at N=300.
-Exits 1 on any difference or failed command, 0 when every output matches.
+pairwise row sums), and at K=3 once more with the features rewritten ``%.17e``:
+negative and exponent cells for the float byte reader, where ``probs.csv`` shows
+a feature's last bit.  ``postprocess --probs`` runs on a seeded N=200, M=2, K=4
+field rewritten ``%.17e``, and ``synth`` on a 2 x 2 grid of two seeds at N=300.
+The same field rewritten ``%.6f`` must fail in both trees, with the same exit
+code and message.  Exits 1 on any difference, failed command or unmatched
+failure, 0 when every output matches.
 """
 
 from __future__ import annotations
@@ -107,16 +112,20 @@ def differences(parent_out: Path, change_out: Path) -> list[str]:
     return found
 
 
-def compare(argv_of, trees: dict[str, Path], work: Path) -> list[str]:
-    """Run ``argv_of(out_dir)`` under each tree and compare the outputs."""
-    outs = {}
+def compare(argv_of, trees: dict[str, Path], work: Path, fails: bool = False) -> list[str]:
+    """Run ``argv_of(out_dir)`` under each tree and compare the outputs; with ``fails``,
+    each tree must fail with the same exit code and message instead."""
+    outs, errors = {}, {}
     for side, tree in trees.items():
         outs[side] = work / side
         outs[side].mkdir()
-        error = run_tree(tree, argv_of(str(outs[side])), outs[side])
-        if error is not None:
-            return [f"{side} tree failed: {error}"]
-    return differences(outs["parent"], outs["change"])
+        errors[side] = run_tree(tree, argv_of(str(outs[side])), outs[side])
+    if fails:
+        if errors["parent"] is None or errors["change"] != errors["parent"]:
+            return [f"{side} tree: {errors[side] or 'no failure'}" for side in trees]
+        return []
+    found = [f"{side} tree failed: {error}" for side, error in errors.items() if error]
+    return found or differences(outs["parent"], outs["change"])
 
 
 def workload_case(workload, seed: int):
@@ -190,9 +199,18 @@ def class_count_case(command: str, k_preds: int, metric: str, seed: int):
     return prepare
 
 
-def train_lr_case(k: int, seed: int):
+def reformat(path: Path, fmt: str, header_lines: int) -> None:
+    """Rewrite every cell below the first ``header_lines`` lines of ``path`` as ``fmt % cell``."""
+    lines = path.read_text().splitlines()
+    body = [",".join(fmt % float(cell) for cell in line.split(","))
+            for line in lines[header_lines:]]
+    path.write_text("".join(line + "\n" for line in lines[:header_lines] + body))
+
+
+def train_lr_case(k: int, seed: int, fmt: str | None = None):
     """As ``workload_case``, for ``train-lr`` on a seeded N=400, D=6, M=2 fixture
-    with K classes; the probabilities go to ``probs.csv`` in the output directory."""
+    with K classes, its features rewritten as ``fmt`` formats them if given; the
+    probabilities go to ``probs.csv`` in the output directory."""
     def prepare(work: Path):
         rng = np.random.default_rng(seed)
         n, d, m_out = 400, 6, 2
@@ -200,9 +218,29 @@ def train_lr_case(k: int, seed: int):
         labels[0] = k  # each output's labels name class K, so the command sees K classes
         write_predictions(work / "labels.csv", LabelMatrix(labels, k))
         write_features(work / "features.csv", rng.standard_normal((n, d)))
+        if fmt is not None:
+            reformat(work / "features.csv", fmt, header_lines=1)
         return lambda out_dir: ["train-lr", "--features", str(work / "features.csv"),
                                 "--labels", str(work / "labels.csv"), "--seed", str(seed),
                                 "--out", "probs.csv"]
+    return prepare
+
+
+def formatted_probs_case(fmt: str, seed: int):
+    """As ``workload_case``, for ``postprocess --probs`` micro-F1 on a seeded N=200, M=2,
+    K=4 fixture whose probability cells are rewritten as ``fmt`` formats them."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        n, m_out, k = 200, 2, 4
+        labels = rng.integers(1, k + 1, size=(n, m_out))
+        labels[0, 0] = k  # the file names class K, so the command sees K classes
+        write_predictions(work / "labels.csv", LabelMatrix(labels, k))
+        write_probs(work / "probs.csv", ProbabilityField(rng.dirichlet(np.ones(k), (n, m_out))))
+        reformat(work / "probs.csv", fmt, header_lines=2)
+        argv = ["postprocess", "--labels", str(work / "labels.csv"), "--probs",
+                str(work / "probs.csv"), "--metric", "micro_f1", "--seed", str(seed)]
+        return lambda out_dir: argv + ["--out", f"{out_dir}/report.json",
+                                       "--preds", f"{out_dir}/preds.csv"]
     return prepare
 
 
@@ -232,13 +270,21 @@ def main(argv: list[str] | None = None) -> int:
               for name, command, k_preds, metric in CLASS_COUNT_CASES for seed in args.seeds]
     cases += [(f"train-lr K={k} seed {seed}", train_lr_case(k, seed))
               for k in (3, 10, 130) for seed in args.seeds]
+    cases += [(f"train-lr K=3 features %.17e seed {seed}", train_lr_case(3, seed, "%.17e"))
+              for seed in args.seeds]
+    cases += [(f"postprocess --probs %.17e seed {seed}", formatted_probs_case("%.17e", seed))
+              for seed in args.seeds]
     cases += [(f"synth seed {seed}", synth_case(seed)) for seed in args.seeds]
+    # the same field written %.6f is refused: its rows miss a sum of 1 by more than allowed
+    failing = [(f"postprocess --probs %.6f seed {seed}", formatted_probs_case("%.6f", seed))
+               for seed in args.seeds]
     failed = False
-    for label, prepare in cases:
-        with tempfile.TemporaryDirectory() as work:
-            found = compare(prepare(Path(work)), trees, Path(work))
-        print(f"{label}: {'; '.join(found) or 'identical'}", flush=True)
-        failed |= bool(found)
+    for fails, group in ((False, cases), (True, failing)):
+        for label, prepare in group:
+            with tempfile.TemporaryDirectory() as work:
+                found = compare(prepare(Path(work)), trees, Path(work), fails)
+            print(f"{label}: {'; '.join(found) or 'identical'}", flush=True)
+            failed |= bool(found)
     return 1 if failed else 0
 
 
