@@ -22,11 +22,14 @@ between a row's class scores gamma*b_k - a_k (b = eta@B, a = eta@A) are linear
 in gamma, so a row that takes class c at both evaluated ends of the bracket,
 every other class behind by more than a margin far above the kernel's rounding,
 takes c everywhere between them.  Rows are scored a block at a time
-(``confusion._row_blocks``), so no (N*M, K) score array is held.  Utilities
-still come from every prediction, counted with the confusion kernel as the
-oracle counts its chunks, except that a candidate changing no class keeps the
-previous candidate's utility: its predictions, and so their count, are the
-same.  The inputs are checked once, at entry.
+(``confusion._row_blocks``), so no (N*M, K) score array is held.  Against labels,
+the confusion kernel counts the argmax rule's predictions once; each later
+candidate moves only the rows that change class out of their old cells and
+into their new.  The counts are integers, so they hold the same values as a
+recount and give the same utility bits.  Against weight rows, a candidate's
+predictions are recounted whole, as the oracle counts its chunks: float sums in
+another order would round differently.  A candidate changing no class keeps the
+previous candidate's utility.  The inputs are checked once, at entry.
 
 ``brute_force_oracle`` is the exhaustive reference: it scores every
 deterministic prediction matrix, a chunk at a time, with the confusion kernel
@@ -137,35 +140,55 @@ def _search(
     flat = rows.reshape(-1, k)  # row n*M + m
     preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
+    counts = None  # against labels: the (M, K, K) int counts of ``preds``, kept by rescore
+    true_flat = truth.reshape(-1) if truth.ndim == 2 else None  # row n*M + m
 
-    def rescore(loss: LossTensor, span: float, active) -> tuple[np.ndarray, bool]:
+    def rescore(
+        loss: LossTensor, span: float | None = None, active=slice(None)
+    ) -> tuple[np.ndarray | None, bool]:
         """Score ``active`` rows into ``preds``, a block at a time.  Returns their classes, 0 with
         a runner-up in the margin (gaps times ``span``, the max - min of the unrescaled loss),
-        and whether any of them changed class."""
+        or None without a ``span``; and whether any of them changed class."""
         size = len(flat) if isinstance(active, slice) else len(active)
-        end = np.empty(size, dtype=preds.dtype)
+        end = None if span is None else np.empty(size, dtype=preds.dtype)
         changed = False
         for block in _row_blocks(size, k):
             picked = block if isinstance(active, slice) else active[block]
             scores = _row_scores(flat[picked], loss.values)
             cls = np.argmin(scores, axis=1) + 1
-            scores.partition(min(k, 2) - 1, axis=1)  # each row's two lowest scores first, in order
-            # one class has no runner-up
-            clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin
-            changed = changed or not np.array_equal(preds[picked], cls)
-            preds[picked] = cls
-            end[block] = np.where(clear, cls, 0)
+            if span is not None:
+                scores.partition(min(k, 2) - 1, axis=1)  # two lowest scores first, in order
+                # one class has no runner-up
+                clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin
+                end[block] = np.where(clear, cls, 0)
+            old = preds[picked]  # a view for a slice block: read before preds is written
+            moved = old != cls
+            if moved.any():
+                changed = True
+                if counts is not None:  # each moved row out of its old cell, into its new
+                    rows = np.flatnonzero(moved) + block.start if picked is block else picked[moved]
+                    # the flat index of (output, true - 1, pred - 1) less pred, as in _joint_counts
+                    cells = np.multiply(true_flat[rows], k, dtype=np.intp)
+                    cells += rows % m_out * (k * k) - (k + 1)
+                    tally = counts.reshape(-1)  # a view: the updates land in counts
+                    tally += np.bincount(cells + cls[moved], minlength=tally.size)
+                    tally -= np.bincount(cells + old[moved], minlength=tally.size)
+                preds[picked] = cls
         return end, changed
 
     def utility_of() -> float:
-        """The micro utility of ``preds``, counted as the oracle counts its chunks:
-        the same bits as ``sample_confusion``/``expected_confusion`` and ``micro_confusion``."""
-        return flm.evaluate(_micro(_joint_counts(preds.reshape(n, m_out), k, truth) / n))
+        """The micro utility of ``preds``: ``counts`` against labels, a recount against
+        weight rows; the same bits as ``sample_confusion``/``expected_confusion`` and
+        ``micro_confusion``."""
+        joint = _joint_counts(preds.reshape(n, m_out), k, truth) if counts is None else counts
+        return flm.evaluate(_micro(joint / n))
 
     # Start from the argmax rule (0-1 loss) so the search never returns
     # anything worse than the plain plug-in baseline.
     best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
-    rescore(best_loss, 1.0, slice(None))
+    rescore(best_loss)
+    if true_flat is not None:
+        counts = _joint_counts(preds.reshape(n, m_out), k, truth)
     best_utility = cand_utility = utility_of()
 
     active = slice(None)  # every row, until both ends of the bracket have been scored

@@ -4,7 +4,8 @@ Label files carry a ``y1..yM`` header and integer classes 1..K.  Probability
 files start with a ``# M=...,K=...`` metadata line followed by ``p_m_k``
 columns in output-major order.  Feature files carry an ``x1..xD`` header.
 Cells are plain, unquoted decimal numbers and empty lines are skipped.
-Floats are written with shortest round-trip repr so files reproduce exactly.
+Floats are written with shortest round-trip repr so files reproduce exactly;
+classes are written by digit arithmetic on blocks of cells, to the same bytes.
 Files in the form the writers write (label files, and float tables of finite
 values) are parsed from their bytes, a block at a time; any other file by
 ``np.loadtxt``, to the same values and messages.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .confusion import LabelMatrix, ProbabilityField
 
-# cells formatted per write, so a large file never builds all its strings at once
+# cells formatted per write, so a large file never builds all its text at once
 _WRITE_CELLS = 1 << 12
 # bytes of a label file parsed at a time, so its temporaries stay a few MB at any size
 _READ_BYTES = 1 << 16
@@ -224,8 +225,27 @@ def read_labels(path: str | Path) -> LabelMatrix:
 
 
 def write_predictions(path: str | Path, preds: LabelMatrix) -> None:
-    header = ",".join(f"y{m + 1}" for m in range(preds.n_outputs))
-    _write_table(path, [header], preds.values)
+    """Write the ``y1..yM`` header, then each row's classes in decimal, a block of
+    ``_WRITE_CELLS`` cells at a time: the bytes ``_write_table`` writes for them."""
+    values = preds.values
+    n, m_out = values.shape
+    width = len(str(int(values.max())))
+    rows = max(1, _WRITE_CELLS // m_out)
+    with open(path, "wb") as handle:
+        handle.write(",".join(f"y{m + 1}" for m in range(m_out)).encode() + b"\n")
+        for start in range(0, n, rows):
+            # in the classes' own dtype: no quotient, product or digit exceeds its class
+            left = values[start : start + rows]
+            cells = np.empty((*left.shape, width + 1), dtype=np.uint8)  # digits, separator
+            keep = np.ones(cells.shape, dtype=bool)
+            for place in reversed(range(width)):  # the last digit first
+                keep[..., place] = left > 0  # no leading zeros: every class is at least 1
+                higher = left // 10
+                np.add(left - 10 * higher, ord("0"), out=cells[..., place], casting="unsafe")
+                left = higher
+            cells[..., width] = ord(",")
+            cells[:, -1, width] = ord("\n")
+            handle.write(cells[keep].tobytes())
 
 
 def read_probs(path: str | Path) -> ProbabilityField:

@@ -80,18 +80,21 @@ class TestBisectMicro:
             np.testing.assert_array_equal(loss.values[m], loss.values[0])
 
     def test_linear_search_counts_only_changed_rules(self, rng):
-        # Every candidate of a linear metric rescales to the same rule, so only the
-        # argmax rule and the first candidate are counted, not all 51 rules.
+        # Every candidate of a linear metric rescales to the same rule, so not all 51 rules
+        # are counted: label counts are built once, for the argmax rule, and then moved by
+        # the rows that change class; weight-row counts are built for the argmax rule and
+        # the first candidate.
         k = 5
         labels = LabelMatrix(random_labels(rng, 200, 2, k), k)
         probs = ProbabilityField(random_prob_rows(rng, 200, 2, k))
         argmax = weighted_predict(LossTensor(np.ones((k, k)) - np.eye(k)), probs)
         flm = as_fractional_linear(MetricSpec.ordinal(k))
         assert (weighted_predict(loss_from_gamma(flm, 0.5), probs).values != argmax.values).any()
-        with patch.object(bisection, "_joint_counts", wraps=bisection._joint_counts) as counts:
-            _, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
-        assert counts.call_count == 2
-        assert len({record.utility for record in trace.records}) == 1
+        for truth, builds in ((labels, 1), (probs, 2)):
+            with patch.object(bisection, "_joint_counts", wraps=bisection._joint_counts) as counts:
+                _, trace = bisect_micro(truth, probs, flm, BisectionConfig(iterations=50))
+            assert counts.call_count == builds, type(truth).__name__
+            assert len({record.utility for record in trace.records}) == 1
 
     def test_accepted_utility_never_decreases(self, rng):
         labels = LabelMatrix(random_labels(rng, 20, 1, 3), 3)

@@ -117,17 +117,49 @@ def _reference_predictions(values: np.ndarray) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-@settings(max_examples=40, deadline=None)
-@given(cells_per_block=block_sizes, k=st.integers(2, 120), **shapes)
-@example(cells_per_block=1 << 12, n=1, m_out=1, k=2, seed=0)
-def test_write_predictions_matches_per_cell_formatting(cells_per_block, n, m_out, k, seed):
-    values = np.random.default_rng(seed).integers(1, k + 1, size=(n, m_out))
+# class dtypes a LabelMatrix may hold; the writer's arithmetic runs in each
+CLASS_DTYPES = [np.uint8, np.int16, np.int32, np.int64, np.intp, np.uint64]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells_per_block=block_sizes,
+    k=st.integers(2, 120) | st.integers(2, 2**64 - 1),
+    dtype=st.sampled_from(CLASS_DTYPES),
+    n=shapes["n"],
+    m_out=st.integers(1, 50),  # often more than a block of cells
+    seed=shapes["seed"],
+)
+@example(cells_per_block=1 << 12, n=1, m_out=1, k=2, dtype=np.int64, seed=0)
+@example(cells_per_block=1 << 12, n=2, m_out=(1 << 12) + 3, k=130, dtype=np.uint8, seed=0)
+@example(cells_per_block=7, n=30, m_out=3, k=10**18 - 1, dtype=np.int64, seed=0)
+@example(cells_per_block=5, n=20, m_out=2, k=2**64 - 1, dtype=np.uint64, seed=0)
+def test_write_predictions_matches_per_cell_formatting(cells_per_block, n, m_out, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, int(np.iinfo(dtype).max))
+    values = rng.integers(1, k, endpoint=True, size=(n, m_out), dtype=np.uint64)
+    # cells of every length up to K's side by side: each class loses a random number of digits
+    cut = np.uint64(10) ** rng.integers(0, len(str(k)), size=values.shape).astype(np.uint64)
+    values = np.maximum(values // cut, 1).astype(dtype)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         fileio, "_WRITE_CELLS", cells_per_block
     ):
         path = Path(tmp) / "preds.csv"
         write_predictions(path, LabelMatrix(values, k))
         assert path.read_bytes() == _reference_predictions(values).encode()
+
+
+def test_writing_predictions_holds_one_block_of_cells(tmp_path):
+    """At the eval-preds size (N=100 000, M=8) the writer's temporaries are those of
+    one block of ``_WRITE_CELLS`` cells, not of the 800 000 the file holds."""
+    preds = LabelMatrix(np.random.default_rng(0).integers(1, 6, size=(100_000, 8)), 5)
+    tracemalloc.start()
+    try:
+        write_predictions(tmp_path / "preds.csv", preds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # per-cell reference writers: one Python repr per value, one write per line

@@ -28,7 +28,10 @@ N=400, D=6, M=2 fixtures at K=3, 10 and 130 (each branch of the descent's
 pairwise row sums), and at K=3 once more with the features rewritten ``%.17e``:
 negative and exponent cells for the float byte reader, where ``probs.csv`` shows
 a feature's last bit.  ``postprocess --probs`` runs on a seeded N=200, M=2, K=4
-field rewritten ``%.17e``, and ``synth`` on a 2 x 2 grid of two seeds at N=300.
+field rewritten ``%.17e``, and on a seeded N=1500, M=3, K=120 field, whose
+``--preds`` file holds one- to three-digit classes in more cells (4500) than
+``write_predictions`` writes a block at a time; ``synth`` runs on a 2 x 2 grid of
+two seeds at N=300.
 The same field rewritten ``%.6f`` must fail in both trees, with the same exit
 code and message.  Exits 1 on any difference, failed command or unmatched
 failure, 0 when every output matches.
@@ -226,17 +229,17 @@ def train_lr_case(k: int, seed: int, fmt: str | None = None):
     return prepare
 
 
-def formatted_probs_case(fmt: str, seed: int):
-    """As ``workload_case``, for ``postprocess --probs`` micro-F1 on a seeded N=200, M=2,
-    K=4 fixture whose probability cells are rewritten as ``fmt`` formats them."""
+def probs_case(n: int, m_out: int, k: int, fmt: str | None, seed: int):
+    """As ``workload_case``, for ``postprocess --probs`` micro-F1 on a seeded N x M x K
+    fixture, its probability cells rewritten as ``fmt`` formats them if given."""
     def prepare(work: Path):
         rng = np.random.default_rng(seed)
-        n, m_out, k = 200, 2, 4
         labels = rng.integers(1, k + 1, size=(n, m_out))
         labels[0, 0] = k  # the file names class K, so the command sees K classes
         write_predictions(work / "labels.csv", LabelMatrix(labels, k))
         write_probs(work / "probs.csv", ProbabilityField(rng.dirichlet(np.ones(k), (n, m_out))))
-        reformat(work / "probs.csv", fmt, header_lines=2)
+        if fmt is not None:
+            reformat(work / "probs.csv", fmt, header_lines=2)
         argv = ["postprocess", "--labels", str(work / "labels.csv"), "--probs",
                 str(work / "probs.csv"), "--metric", "micro_f1", "--seed", str(seed)]
         return lambda out_dir: argv + ["--out", f"{out_dir}/report.json",
@@ -272,11 +275,13 @@ def main(argv: list[str] | None = None) -> int:
               for k in (3, 10, 130) for seed in args.seeds]
     cases += [(f"train-lr K=3 features %.17e seed {seed}", train_lr_case(3, seed, "%.17e"))
               for seed in args.seeds]
-    cases += [(f"postprocess --probs %.17e seed {seed}", formatted_probs_case("%.17e", seed))
+    cases += [(f"postprocess --probs %.17e seed {seed}", probs_case(200, 2, 4, "%.17e", seed))
+              for seed in args.seeds]
+    cases += [(f"postprocess --probs K=120 seed {seed}", probs_case(1500, 3, 120, None, seed))
               for seed in args.seeds]
     cases += [(f"synth seed {seed}", synth_case(seed)) for seed in args.seeds]
     # the same field written %.6f is refused: its rows miss a sum of 1 by more than allowed
-    failing = [(f"postprocess --probs %.6f seed {seed}", formatted_probs_case("%.6f", seed))
+    failing = [(f"postprocess --probs %.6f seed {seed}", probs_case(200, 2, 4, "%.6f", seed))
                for seed in args.seeds]
     failed = False
     for fails, group in ((False, cases), (True, failing)):
