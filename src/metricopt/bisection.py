@@ -53,7 +53,7 @@ from .confusion import (
     _per_sample,
     _row_blocks,
 )
-from .decision import _row_scores
+from .decision import _lowest_two, _row_scores
 from .errors import GuardError
 from .metrics import FractionalLinearMetric, LossTensor, MetricSpec, loss_from_gamma
 
@@ -93,11 +93,13 @@ class IterationRecord:
 
 @dataclass
 class BisectionTrace:
-    """Full iteration history plus the final loss slice and its utility."""
+    """Full iteration history plus the final loss slice, its utility and, left out of
+    ``to_dict``, its read-only (N, M) predictions at the rows searched."""
 
     records: list[IterationRecord]
     final_loss: np.ndarray
     final_utility: float
+    predictions: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -154,12 +156,9 @@ def _search(
         changed = False
         for block in _row_blocks(size, k):
             picked = block if isinstance(active, slice) else active[block]
-            scores = _row_scores(flat[picked], loss.values)
-            cls = np.argmin(scores, axis=1) + 1
+            cls, gaps = _lowest_two(_row_scores(flat[picked], loss.values), span is not None)
             if span is not None:
-                scores.partition(min(k, 2) - 1, axis=1)  # two lowest scores first, in order
-                # one class has no runner-up
-                clear = k == 1 or (scores[:, 1] - scores[:, 0]) * span > margin
+                clear = k == 1 or gaps * span > margin  # one class has no runner-up
                 end[block] = np.where(clear, cls, 0)
             old = preds[picked]  # a view for a slice block: read before preds is written
             moved = old != cls
@@ -187,6 +186,7 @@ def _search(
     # anything worse than the plain plug-in baseline.
     best_loss = LossTensor(np.ones((k, k)) - np.eye(k))
     rescore(best_loss)
+    best_preds = preds.reshape(n, m_out).copy()
     if true_flat is not None:
         counts = _joint_counts(preds.reshape(n, m_out), k, truth)
     best_utility = cand_utility = utility_of()
@@ -209,6 +209,7 @@ def _search(
             lower = gamma
             if cand_utility >= best_utility:
                 best_loss, best_utility = cand_loss, cand_utility
+                best_preds = preds.reshape(n, m_out).copy()
         else:
             upper = gamma
         records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
@@ -217,7 +218,8 @@ def _search(
             live = (ends[True] != ends[False]) | (ends[True] == 0)
             active = np.flatnonzero(live) if isinstance(active, slice) else active[live]
             ends = {side: classes[live] for side, classes in ends.items()}
-    return BisectionTrace(records, best_loss.values, best_utility)
+    best_preds.flags.writeable = False  # a PredictionMatrix keeps it instead of a copy
+    return BisectionTrace(records, best_loss.values, best_utility, best_preds)
 
 
 def bisect_micro(
@@ -231,7 +233,8 @@ def bisect_micro(
     ``probs_hat`` holds the probability estimates at the evaluation points and
     ``truth`` what each candidate's predictions there are counted against: the
     labels (sample confusions) or a probability field (expected confusions).
-    The returned loss repeats that K x K matrix as one slice per output.
+    The returned loss repeats that K x K matrix as one slice per output, and the
+    trace's ``predictions`` are ``weighted_predict(loss, probs_hat).values``.
     """
     _check_paired(truth, probs_hat)
     bracket = tuning_bracket(flm, truth.n_classes)
@@ -246,7 +249,8 @@ def bisect_macro(
     flm: FractionalLinearMetric,
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, list[BisectionTrace]]:
-    """The micro search on each output alone; the loss slices may differ per output."""
+    """The micro search on each output alone; the loss slices may differ per output.
+    Trace m's ``predictions`` are column m of ``weighted_predict(loss, probs_hat).values``."""
     _check_paired(truth, probs_hat)
     bracket = tuning_bracket(flm, truth.n_classes)
     traces = [

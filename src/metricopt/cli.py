@@ -217,7 +217,7 @@ def cmd_postprocess(args) -> tuple[dict, dict]:
     tuning_bracket(spec.ratio, labels.n_classes)
 
     if probs is not None:
-        labels_eval, probs_eval, probs_full = labels, probs, probs
+        labels_eval, probs_eval = labels, probs
     else:
         features = read_features(args.features)
         _paired(labels, args.labels, args.features, features.shape[:1])
@@ -231,12 +231,21 @@ def cmd_postprocess(args) -> tuple[dict, dict]:
 
     if args.averaging == "micro":
         loss, trace = bisect_micro(labels_eval, probs_eval, spec.ratio, cfg)
-        trace_doc = trace.to_dict()
+        trace_doc, traces = trace.to_dict(), [trace]
     else:
         loss, traces = bisect_macro(labels_eval, probs_eval, spec.ratio, cfg)
         trace_doc = [t.to_dict() for t in traces]
 
-    preds = weighted_predict(loss, probs_full)
+    searched = np.hstack([t.predictions for t in traces])  # the evaluation rows' classes
+    if probs is not None:
+        values = searched
+    else:  # only the fit rows are left to predict
+        values = np.empty(labels.values.shape, dtype=searched.dtype)
+        values[eval_idx] = searched
+        fit_rows = probs_full.values[fit_idx]
+        fit_rows.flags.writeable = False  # the field keeps this copy instead of another
+        values[fit_idx] = weighted_predict(loss, ProbabilityField(fit_rows)).values
+    preds = PredictionMatrix(values, labels.n_classes)
     if args.preds:
         write_predictions(args.preds, preds)
     conf = sample_confusion(labels, preds)

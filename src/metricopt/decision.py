@@ -27,6 +27,37 @@ def _row_scores(rows: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return rows @ loss
 
 
+# a loop over the classes' contiguous columns beats argmin + partition from this many rows,
+# up to this many classes (the loop's passes grow with K, partition's per-row overhead does not)
+_CLASS_MAJOR_ROWS, _CLASS_MAJOR_CLASSES = 1024, 24
+
+
+def _lowest_two(scores: np.ndarray, gaps: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each (R, K) score row's lowest class, 1-based and the lowest of equal scores as
+    ``np.argmin`` picks it, and with ``gaps`` its lead over the runner-up: the bits of
+    ``partition``'s ``s[:, 1] - s[:, 0]``, inf with one class.  Without gaps, below
+    ``_CLASS_MAJOR_ROWS`` rows or above ``_CLASS_MAJOR_CLASSES`` classes, argmin (and an
+    in-place partition) reads the rows; otherwise the scores are transposed once and each
+    class column is compared with the lowest so far."""
+    rows, k = scores.shape
+    row_major = rows < _CLASS_MAJOR_ROWS or k > _CLASS_MAJOR_CLASSES
+    if not gaps or (row_major and k > 1):
+        cls = np.argmin(scores, axis=1) + 1
+        if not gaps:
+            return cls, None
+        scores.partition(1, axis=1)  # the two lowest scores first, in order
+        return cls, scores[:, 1] - scores[:, 0]
+    columns = np.ascontiguousarray(scores.T)
+    cls = np.ones(rows, dtype=np.intp)
+    low, second, lower = columns[0].copy(), np.full(rows, np.inf), np.empty(rows, dtype=bool)
+    for c, column in enumerate(columns[1:], start=2):
+        np.less(column, low, out=lower)  # strict: an equal score keeps the lower class
+        np.minimum(second, np.maximum(low, column), out=second)
+        np.minimum(low, column, out=low)
+        np.putmask(cls, lower, c)
+    return cls, second - low
+
+
 def _slices(loss: LossTensor, m_out: int, k: int, against: str) -> np.ndarray:
     """The (M, K, K) slices of ``loss``; a K x K loss is shared by every output."""
     if loss.values.shape not in ((k, k), (m_out, k, k)):
@@ -47,8 +78,7 @@ def weighted_predict(loss: LossTensor, probs: ProbabilityField) -> PredictionMat
     preds = np.empty((n, m_out), dtype=np.intp)
     for m, loss_m in enumerate(slices):
         for rows in _row_blocks(n, k):  # one block of (rows, K) scores at a time
-            preds[rows, m] = np.argmin(_row_scores(probs.values[rows, m], loss_m), axis=1)
-    preds += 1
+            preds[rows, m] = _lowest_two(_row_scores(probs.values[rows, m], loss_m), False)[0]
     preds.flags.writeable = False  # the container keeps this array instead of a copy
     return PredictionMatrix(preds, n_classes=k)
 

@@ -213,6 +213,36 @@ class TestBisectMacro:
         assert macro_of_macro >= macro_of_micro - 1e-12
 
 
+@pytest.mark.parametrize("truth", ["labels", "weight rows"])
+@pytest.mark.parametrize("best", ["argmax rule", "candidate before the last accepted"])
+def test_searches_return_the_predictions_of_their_loss(truth, best):
+    """Each trace's predictions are those ``weighted_predict`` gives under the returned loss:
+    the argmax rule's when no candidate beats it, and the best candidate's, not the last
+    accepted one's, when a later accepted candidate scores below it.  The micro search scores
+    1200 rows a pass (the kernel's class-major path), the macro search 600 (its row path)."""
+    seed, concentration = (5, 0.3) if best == "argmax rule" else (0, 1.0)
+    n, m_out, k = 600, 2, 4
+    rng = np.random.default_rng(seed)
+    probs = ProbabilityField(rng.dirichlet(np.full(k, concentration), size=(n, m_out)))
+    draws = (probs.values.cumsum(axis=2) < rng.random((n, m_out, 1))).sum(axis=2) + 1
+    labels = LabelMatrix(np.minimum(draws, k), k)
+    # one-hot weight rows count as the labels do, through the recounting path
+    truth = labels if truth == "labels" else ProbabilityField(np.eye(k)[labels.values - 1])
+    flm = MetricSpec.micro_f1(k).ratio
+    loss, trace = bisect_micro(truth, probs, flm, BisectionConfig())
+    macro_loss, traces = bisect_macro(truth, probs, flm, BisectionConfig())
+    for searched in [trace, *traces]:
+        if best == "argmax rule":
+            np.testing.assert_array_equal(searched.final_loss, np.ones((k, k)) - np.eye(k))
+        else:
+            last_accepted = [r for r in searched.records if r.accepted][-1]
+            assert last_accepted.utility < searched.final_utility
+    np.testing.assert_array_equal(trace.predictions, weighted_predict(loss, probs).values)
+    np.testing.assert_array_equal(
+        np.hstack([t.predictions for t in traces]), weighted_predict(macro_loss, probs).values
+    )
+
+
 class TestRatioBracket:
     def test_micro_f1_bracket_is_the_unit_interval(self):
         for negative_class in (1, 3):

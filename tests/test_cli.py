@@ -16,9 +16,10 @@ import metricopt
 from metricopt import confusion
 from metricopt.averaging import micro_utility
 from metricopt.bisection import tuning_bracket
-from metricopt.cli import RunReport, _utilities_for, build_parser, main
+from metricopt.cli import RunReport, _split_indices, _utilities_for, build_parser, main
 from metricopt.confusion import LabelMatrix, PredictionMatrix, ProbabilityField, sample_confusion
 from metricopt.decision import weighted_predict
+from metricopt.estimators import fit_lr, predict_proba
 from metricopt.fileio import (
     read_features,
     read_labels,
@@ -350,6 +351,30 @@ class TestPostprocess:
         assert code == 0
         preds = read_labels(tmp_path / "final.csv")
         assert preds.values.shape == (n, 1)
+
+    @pytest.mark.parametrize("averaging", ["micro", "macro"])
+    def test_features_predictions_follow_the_reported_loss_on_every_row(
+        self, tmp_path, rng, averaging
+    ):
+        # the search returns the evaluation rows' classes and only the fit rows are
+        # predicted after it: together they are the reported rule on every row
+        n, m_out, k, seed = 300, 2, 3, 7
+        features = rng.standard_normal((n, 4))
+        labels = LabelMatrix(random_labels(rng, n, m_out, k), k)
+        write_predictions(tmp_path / "labels.csv", labels)
+        write_features(tmp_path / "features.csv", features)
+        code = main(["postprocess", "--labels", str(tmp_path / "labels.csv"),
+                     "--features", str(tmp_path / "features.csv"), "--metric", "micro_f1",
+                     "--averaging", averaging, "--seed", str(seed),
+                     "--preds", str(tmp_path / "final.csv"),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 0
+        report = RunReport.from_json((tmp_path / "report.json").read_text())
+        fit_idx, _ = _split_indices(n, seed)
+        model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], k))
+        loss = LossTensor(np.array(report.loss["slices"]))
+        expected = weighted_predict(loss, predict_proba(model, features)).values
+        np.testing.assert_array_equal(read_labels(tmp_path / "final.csv").values, expected)
 
     def test_non_fractional_metric_rejected(self, tmp_path, rng, capsys):
         self._write_problem(tmp_path, rng)

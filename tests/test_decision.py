@@ -3,10 +3,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt import confusion
+from metricopt import confusion, decision
 from metricopt.confusion import (
     LabelMatrix,
     PredictionMatrix,
@@ -14,7 +14,7 @@ from metricopt.confusion import (
     expected_confusion,
     sample_confusion,
 )
-from metricopt.decision import _row_scores, expected_weighted_loss, weighted_predict
+from metricopt.decision import _lowest_two, _row_scores, expected_weighted_loss, weighted_predict
 from metricopt.metrics import LossTensor
 
 from conftest import random_labels, random_prob_rows
@@ -259,3 +259,42 @@ def test_blocked_predictions_equal_unblocked(n, m_out, k, block_rows, rows, stri
     expected = np.column_stack(whole) + 1
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_rows=st.integers(1, 3 * decision._CLASS_MAJOR_ROWS),
+    k=st.integers(1, 20),
+    values=st.sampled_from(["integers", "floats", "duplicated"]),
+    most_classes=st.sampled_from([decision._CLASS_MAJOR_CLASSES, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_rows=3 * decision._CLASS_MAJOR_ROWS, k=130, values="integers", most_classes=200, seed=0)
+@example(n_rows=decision._CLASS_MAJOR_ROWS, k=130, values="duplicated",
+         most_classes=decision._CLASS_MAJOR_CLASSES, seed=1)
+@example(n_rows=decision._CLASS_MAJOR_ROWS - 1, k=2, values="integers", most_classes=200, seed=2)
+@example(n_rows=decision._CLASS_MAJOR_ROWS, k=1, values="floats", most_classes=200, seed=3)
+def test_lowest_two_matches_argmin_and_partition(n_rows, k, values, most_classes, seed):
+    """Both paths of the kernel give argmin's classes, the lowest of equal scores, and
+    partition's runner-up gaps, bit for bit; one class has no runner-up (an inf gap).
+    A ``most_classes`` of 200 lifts the class bound, so K=130 takes the class-major path too."""
+    rng = np.random.default_rng(seed)
+    if values == "floats":
+        scores = rng.standard_normal((n_rows, k))
+    else:  # a few small dyadic values: exact ties everywhere
+        scores = rng.integers(-2, 3, size=(n_rows, k)) / 4
+    if values == "duplicated" and k > 1:  # the minimum again in a random later or earlier class
+        rows = np.arange(n_rows)
+        scores[rows, rng.integers(0, k, size=n_rows)] = scores.min(axis=1)
+    expected_classes = np.argmin(scores, axis=1) + 1
+    if k > 1:
+        two = np.partition(scores, 1, axis=1)
+        expected_gaps = two[:, 1] - two[:, 0]
+    else:
+        expected_gaps = np.full(n_rows, np.inf)
+    with patch.object(decision, "_CLASS_MAJOR_CLASSES", most_classes):
+        classes, none = _lowest_two(scores.copy(), gaps=False)
+        assert none is None and classes.tobytes() == expected_classes.tobytes()
+        classes, gaps = _lowest_two(scores.copy(), gaps=True)
+    assert classes.tobytes() == expected_classes.tobytes()
+    assert gaps.tobytes() == expected_gaps.tobytes()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricopt import bisection, confusion
+from metricopt import bisection, confusion, decision
 from metricopt.averaging import instance_utility, macro_utility, micro_confusion, micro_utility
 from metricopt.bisection import (
     BisectionConfig,
@@ -306,7 +306,8 @@ def full_rescoring_bisect_micro(
             upper = gamma
         records.append(IterationRecord(gamma, lower, upper, cand_utility, accepted))
     tiled = LossTensor(np.broadcast_to(best_loss.values, (m_out, k, k)))
-    return tiled, BisectionTrace(records, best_loss.values, best_utility)
+    preds = weighted_predict(best_loss, probs_hat).values
+    return tiled, BisectionTrace(records, best_loss.values, best_utility, preds)
 
 
 def _probability_rows(rng, n, m_out, k, kind):
@@ -399,6 +400,7 @@ def test_search_matches_full_rescoring_bit_for_bit(
     if got is not None:
         assert _bits(got[1]) == _bits(expected[1])
         assert got[0].values.tobytes() == expected[0].values.tobytes()
+        np.testing.assert_array_equal(got[1].predictions, expected[1].predictions)
 
     columns = [
         (_column(truth, m), ProbabilityField(probs.values[:, m : m + 1])) for m in range(m_out)
@@ -412,6 +414,8 @@ def test_search_matches_full_rescoring_bit_for_bit(
     assert [_bits(t) for t in traces] == [_bits(t) for _, t in expected]
     stacked = np.stack([t.final_loss for _, t in expected])
     assert loss.values.tobytes() == stacked.tobytes()
+    for got_m, (_, expected_m) in zip(traces, expected):
+        np.testing.assert_array_equal(got_m.predictions, expected_m.predictions)
 
 
 @settings(max_examples=100, deadline=None)
@@ -424,31 +428,36 @@ def test_search_matches_full_rescoring_bit_for_bit(
     metric=st.sampled_from(["micro_f1", "ordinal", "integer_ratio"]),
     truth=st.sampled_from(["labels", "probs_hat"]),
     block_rows=st.sampled_from([1, 2, 3, 7]),
+    class_major_rows=st.sampled_from([1, 3, decision._CLASS_MAJOR_ROWS]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=30, m_out=4, k=5, iterations=60, rows="dirichlet", metric="micro_f1",
-         truth="labels", block_rows=7, seed=0)
+         truth="labels", block_rows=7, class_major_rows=3, seed=0)
 def test_search_in_small_row_blocks_matches_full_rescoring(
-    n, m_out, k, iterations, rows, metric, truth, block_rows, seed
+    n, m_out, k, iterations, rows, metric, truth, block_rows, class_major_rows, seed
 ):
     """With blocks of a few rows, so block edges fall inside the first passes and
-    the active rows alike, the search keeps the bits of re-scoring every row."""
+    the active rows alike, the search keeps the bits of re-scoring every row; with a
+    low class-major threshold, it finds classes and gaps by both paths of the kernel."""
     rng = np.random.default_rng(seed)
     labels = LabelMatrix(rng.integers(1, k + 1, size=(n, m_out)), k)
     probs = ProbabilityField(_probability_rows(rng, n, m_out, k, rows))
     flm = _search_metric(rng, k, metric)
     truth = _truth(truth, rng, labels, probs, rows)
     cfg = BisectionConfig(iterations)
+    small = patch.object(confusion, "_BLOCK_CELLS", block_rows * k)
+    class_major = patch.object(decision, "_CLASS_MAJOR_ROWS", class_major_rows)
     try:
         expected = full_rescoring_bisect_micro(truth, probs, flm, cfg)
     except GuardError:  # a candidate with a degenerate denominator
-        with patch.object(confusion, "_BLOCK_CELLS", block_rows * k), pytest.raises(GuardError):
+        with small, class_major, pytest.raises(GuardError):
             bisect_micro(truth, probs, flm, cfg)
         return
-    with patch.object(confusion, "_BLOCK_CELLS", block_rows * k):
+    with small, class_major:
         got = bisect_micro(truth, probs, flm, cfg)
     assert _bits(got[1]) == _bits(expected[1])
     assert got[0].values.tobytes() == expected[0].values.tobytes()
+    np.testing.assert_array_equal(got[1].predictions, expected[1].predictions)
 
 
 def test_search_rescores_rows_whose_tie_is_decided_by_rounding():

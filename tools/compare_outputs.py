@@ -30,8 +30,11 @@ negative and exponent cells for the float byte reader, where ``probs.csv`` shows
 a feature's last bit.  ``postprocess --probs`` runs on a seeded N=200, M=2, K=4
 field rewritten ``%.17e``, and on a seeded N=1500, M=3, K=120 field, whose
 ``--preds`` file holds one- to three-digit classes in more cells (4500) than
-``write_predictions`` writes a block at a time; ``synth`` runs on a 2 x 2 grid of
-two seeds at N=300.
+``write_predictions`` writes a block at a time.  ``postprocess --probs`` micro and
+macro also run on a seeded K=4 field whose rows are permutations of
+(1/2, 1/4, 1/4, 0), N twice the row count from which the argmin/runner-up kernel
+turns class-major and M=2, so exact score ties are broken by both of its paths;
+``synth`` runs on a 2 x 2 grid of two seeds at N=300.
 The same field rewritten ``%.6f`` must fail in both trees, with the same exit
 code and message.  Exits 1 on any difference, failed command or unmatched
 failure, 0 when every output matches.
@@ -40,6 +43,7 @@ failure, 0 when every output matches.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -56,6 +60,7 @@ from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 from metricopt.confusion import LabelMatrix, ProbabilityField  # noqa: E402
+from metricopt.decision import _CLASS_MAJOR_ROWS  # noqa: E402
 from metricopt.fileio import write_features, write_predictions, write_probs  # noqa: E402
 
 # (command, metric, averaging, with --probs) for each run on the small fixture
@@ -63,6 +68,12 @@ SMALL_CASES = [("oracle", "micro_f1", "micro", False), ("oracle", "micro_f1", "m
                ("oracle", "micro_f1", "instance", False), ("oracle", "micro_f1", "micro", True),
                ("oracle", "micro_f1", "macro", True), ("postprocess", "ordinal", "micro", True),
                ("postprocess", "ordinal", "macro", True)]
+
+# the permutations of (1/2, 1/4, 1/4, 0): exact scores, so classes tie under many losses
+DYADIC_ROWS = np.array(sorted(set(itertools.permutations((0.5, 0.25, 0.25, 0.0)))))
+# (N, M, K) of the dyadic field: every search scores at least twice the rows from which
+# the argmin/runner-up kernel switches to its class-major path
+DYADIC_SIZE = (2 * _CLASS_MAJOR_ROWS, 2, 4)
 
 # 3-class metric documents; on 2-class files the command reads the files at K=3
 WIDE_LOSS = json.dumps({"kind": "loss_based", "L": [[0, 0.4, 1], [0.7, 0, 1], [0.2, 0.5, 0]]})
@@ -229,19 +240,26 @@ def train_lr_case(k: int, seed: int, fmt: str | None = None):
     return prepare
 
 
-def probs_case(n: int, m_out: int, k: int, fmt: str | None, seed: int):
+def probs_case(n: int, m_out: int, k: int, fmt: str | None, seed: int, averaging: str = "micro",
+               dyadic: bool = False):
     """As ``workload_case``, for ``postprocess --probs`` micro-F1 on a seeded N x M x K
-    fixture, its probability cells rewritten as ``fmt`` formats them if given."""
+    fixture, its probability cells rewritten as ``fmt`` formats them if given; with
+    ``dyadic``, every row is one of the K=4 ``DYADIC_ROWS``."""
     def prepare(work: Path):
         rng = np.random.default_rng(seed)
         labels = rng.integers(1, k + 1, size=(n, m_out))
         labels[0, 0] = k  # the file names class K, so the command sees K classes
         write_predictions(work / "labels.csv", LabelMatrix(labels, k))
-        write_probs(work / "probs.csv", ProbabilityField(rng.dirichlet(np.ones(k), (n, m_out))))
+        if dyadic:
+            field = DYADIC_ROWS[rng.integers(0, len(DYADIC_ROWS), size=(n, m_out))]
+        else:
+            field = rng.dirichlet(np.ones(k), (n, m_out))
+        write_probs(work / "probs.csv", ProbabilityField(field))
         if fmt is not None:
             reformat(work / "probs.csv", fmt, header_lines=2)
         argv = ["postprocess", "--labels", str(work / "labels.csv"), "--probs",
-                str(work / "probs.csv"), "--metric", "micro_f1", "--seed", str(seed)]
+                str(work / "probs.csv"), "--metric", "micro_f1", "--averaging", averaging,
+                "--seed", str(seed)]
         return lambda out_dir: argv + ["--out", f"{out_dir}/report.json",
                                        "--preds", f"{out_dir}/preds.csv"]
     return prepare
@@ -279,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
               for seed in args.seeds]
     cases += [(f"postprocess --probs K=120 seed {seed}", probs_case(1500, 3, 120, None, seed))
               for seed in args.seeds]
+    cases += [(f"postprocess --probs dyadic ties {mode} seed {seed}",
+               probs_case(*DYADIC_SIZE, None, seed, mode, dyadic=True))
+              for mode in ("micro", "macro") for seed in args.seeds]
     cases += [(f"synth seed {seed}", synth_case(seed)) for seed in args.seeds]
     # the same field written %.6f is refused: its rows miss a sum of 1 by more than allowed
     failing = [(f"postprocess --probs %.6f seed {seed}", probs_case(200, 2, 4, "%.6f", seed))
