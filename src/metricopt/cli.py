@@ -225,9 +225,8 @@ def cmd_postprocess(args) -> tuple[dict, dict]:
         if len(eval_idx) == 0:
             raise ValueError(f"N={labels.n_samples} leaves the evaluation split empty")
         model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], labels.n_classes))
-        probs_full = predict_proba(model, features)
         labels_eval = LabelMatrix(labels.values[eval_idx], labels.n_classes)
-        probs_eval = ProbabilityField(probs_full.values[eval_idx])
+        probs_eval = predict_proba(model, features[eval_idx])
 
     if args.averaging == "micro":
         loss, trace = bisect_micro(labels_eval, probs_eval, spec.ratio, cfg)
@@ -242,9 +241,7 @@ def cmd_postprocess(args) -> tuple[dict, dict]:
     else:  # only the fit rows are left to predict
         values = np.empty(labels.values.shape, dtype=searched.dtype)
         values[eval_idx] = searched
-        fit_rows = probs_full.values[fit_idx]
-        fit_rows.flags.writeable = False  # the field keeps this copy instead of another
-        values[fit_idx] = weighted_predict(loss, ProbabilityField(fit_rows)).values
+        values[fit_idx] = weighted_predict(loss, predict_proba(model, features[fit_idx])).values
     preds = PredictionMatrix(values, labels.n_classes)
     if args.preds:
         write_predictions(args.preds, preds)

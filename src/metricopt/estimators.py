@@ -51,86 +51,41 @@ class _DescentBuffers:
     """Arrays one output's descent rewrites on every step, allocated once.
 
     ``classes`` holds the output's 1-based training labels; ``flat`` indexes
-    each sample's true class in the flattened (N, K) probability buffer;
-    ``acc`` holds the eight accumulators of ``_pairwise_rows``.
+    each sample's true class in the flattened class-major (K, N) buffer ``lt``.
     """
 
     def __init__(self, features: np.ndarray, classes: np.ndarray, k: int):
         n, d = features.shape
         self.features = features
         self.xt = np.ascontiguousarray(features.T)
-        self.flat = np.arange(n) * k + classes - 1
+        self.flat = (classes - 1) * n + np.arange(n)
         self.lt = np.empty((k, n))
-        self.p = np.empty((n, k))
         self.row = np.empty(n)
-        self.acc = np.empty((8, n))
         self.grad = np.empty((k, d))
         self.penalty = np.empty((k, d))
-
-
-def _pairwise_rows(rows: np.ndarray, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Column sums of ``rows`` (K, N) into ``out`` (N,), equal bit for bit to
-    ``np.sum(rows.T, axis=-1)`` on a C-ordered copy.
-
-    numpy's ``pairwise_sum`` adds a contiguous run of K cells sequentially
-    when K < 8; up to 128 cells it keeps eight accumulators over blocks of
-    eight, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds
-    the tail in order; above 128 it sums the halves split at ``K//2`` rounded
-    down to a multiple of 8, and adds them.  Here each cell is a whole row, so
-    every add covers all N samples.  ``acc`` is an (8, N) scratch array.  (numpy
-    adds that sum to a +0.0 start, so a sum of -0.0 is the one exception.)
-    """
-    k = rows.shape[0]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        left = _pairwise_rows(rows[:half], acc, np.empty_like(out))
-        return np.add(left, _pairwise_rows(rows[half:], acc, out), out=out)
-    if k < 8:
-        np.copyto(out, rows[0])
-        tail = rows[1:]
-    else:
-        blocked = k - k % 8
-        blocks = rows[:8]
-        if blocked > 8:
-            blocks = np.add(blocks, rows[8:16], out=acc)
-            for start in range(16, blocked, 8):
-                np.add(acc, rows[start:start + 8], out=acc)
-        np.add(blocks[0::2], blocks[1::2], out=acc[0::2])
-        np.add(acc[0::4], acc[2::4], out=acc[0::4])
-        np.add(acc[0], acc[4], out=out)
-        tail = rows[blocked:]
-    for row in tail:
-        np.add(out, row, out=out)
-    return out
 
 
 def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray:
     """Gradient of the L2-regularized mean cross-entropy for one output.
 
-    ``weights`` is (K, D), logits are -X @ W^T.  Writes into ``buf`` and
-    returns ``buf.grad``.  Every operation produces the same bits as
-    ``-(softmax(-X @ W^T) - onehot).T @ X / N + l2 * W``: the logits are
-    built class-major, so the row shift ``-L - max(-L)`` becomes the exact
-    ``min(L) - L`` over the long axis.  The softmax denominators are taken
-    class-major too, by ``_pairwise_rows``: it adds whole class rows in the
-    order numpy's pairwise sum adds one sample's K cells, and float addition
-    of the same operands in the same order gives the same bits, so they equal
-    ``np.sum(p, axis=-1)`` over the sample-major ``p``.  The gradient product
-    takes the F-ordered ``p.T``, as the plain formula does: a C-ordered
-    operand changes the bits.  The logits rest on the BLAS giving ``W @ X^T``
-    and ``X @ W^T`` the same bits; OpenBLAS 0.3.31 (Haswell kernels) does not
-    for K above 192 that is not a multiple of 8.
+    ``weights`` is (K, D); with ``L = W @ X^T``, held class-major as (K, N),
+    the logits are -L.  Writes into ``buf`` and returns ``buf.grad``, with the
+    bits of the plain class-major step
+    ``-(softmax(-L) - onehot^T) @ X / N + l2 * W``, the softmax taken over
+    classes (axis 0): its shift ``-L - max(-L)`` is the exact ``min(L) - L``,
+    and each sample's denominator adds its K terms in class order.  The
+    sample-major formula sums them pairwise, so the two differ in the last
+    bits.
     """
-    lt, p = buf.lt, buf.p
+    lt = buf.lt
     np.matmul(weights, buf.xt, out=lt)
     np.min(lt, axis=0, out=buf.row)
     np.subtract(buf.row, lt, out=lt)
     np.exp(lt, out=lt)
-    np.divide(lt, _pairwise_rows(lt, buf.acc, buf.row), out=lt)
-    np.copyto(p.T, lt)
+    np.divide(lt, np.sum(lt, axis=0, out=buf.row), out=lt)
     # one N-vector temporary; np.take/np.put through buf.row avoid it but were slower
-    p.reshape(-1)[buf.flat] -= 1.0
-    grad = np.matmul(p.T, buf.features, out=buf.grad)
+    lt.reshape(-1)[buf.flat] -= 1.0
+    grad = np.matmul(lt, buf.features, out=buf.grad)
     np.negative(grad, out=grad)
     np.divide(grad, buf.features.shape[0], out=grad)
     np.multiply(l2, weights, out=buf.penalty)
@@ -142,7 +97,8 @@ def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> 
     """Fit one model per output by full-batch gradient descent with step
     ``LR_STEP`` and L2 penalty ``LR_L2``.
 
-    The descent is deterministic from a zero initialization.  No intercept
+    The descent is deterministic from a zero initialization, and each step
+    is the plain class-major step of ``_ce_grad``, bit for bit.  No intercept
     column is added; append a constant feature when one is wanted.
     """
     features = np.asarray(features, dtype=float)
@@ -188,6 +144,7 @@ def predict_proba(model: MultinomialLRModel, features: np.ndarray) -> Probabilit
         if fixed is not None:
             probs[:, m, :] = 0.0
             probs[:, m, fixed - 1] = 1.0
+    probs.flags.writeable = False  # the field keeps this array instead of a copy
     return ProbabilityField(probs)
 
 

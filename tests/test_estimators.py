@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from metricopt.confusion import LabelMatrix
 from metricopt.estimators import (
     LR_L2,
+    MultinomialLRModel,
     SyntheticConfig,
     _ce_grad,
     _DescentBuffers,
-    _pairwise_rows,
     fit_lr,
     generate_synthetic,
     performance_ratio_grid,
@@ -32,37 +32,6 @@ def separable_blobs(rng, n_per_class=60):
     features = np.vstack([a, b])
     labels = np.array([1] * n_per_class + [2] * n_per_class)[:, None]
     return features, LabelMatrix(labels, 2)
-
-
-def spread_cells(rng, n, k):
-    """(N, K) positive cells with magnitudes spread over 1e-300 ... 1, so that
-    a change in the order of a row's additions shows in its rounded sum."""
-    return 10.0 ** rng.uniform(-300.0, 0.0, size=(n, k))
-
-
-def class_major_sums(cells):
-    """``_pairwise_rows`` on the class-major copy of (N, K) ``cells``."""
-    n = cells.shape[0]
-    return _pairwise_rows(np.ascontiguousarray(cells.T), np.empty((8, n)), np.empty(n))
-
-
-def test_pairwise_rows_equal_numpy_row_sums_bit_for_bit():
-    # every branch of numpy's pairwise sum: K < 8, eight accumulators up to
-    # K = 128, and the split above it, once (129-256) and more often (257 up)
-    rng = np.random.default_rng(11)
-    wrong = []
-    for k in [*range(1, 301), 512, 513, 1025]:
-        cells = spread_cells(rng, 64, k)
-        if not np.array_equal(class_major_sums(cells), np.sum(cells, axis=-1)):
-            wrong.append(k)
-    assert wrong == []
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 40), k=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
-def test_pairwise_rows_equal_numpy_row_sums_on_random_shapes(n, k, seed):
-    cells = spread_cells(np.random.default_rng(seed), n, k)
-    assert np.array_equal(class_major_sums(cells), np.sum(cells, axis=-1))
 
 
 class TestFitLR:
@@ -143,6 +112,25 @@ class TestPredictProba:
         model = MultinomialLRModel(weights, constant_classes=(None, None))
         probs = predict_proba(model, rng.standard_normal((50, 3)))
         np.testing.assert_allclose(probs.values.sum(axis=2), 1.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 5),
+    m_out=st.integers(1, 3),
+    k=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_proba_of_a_row_subset_equals_those_rows_bit_for_bit(n, d, m_out, k, seed):
+    # postprocess --features predicts its fit and evaluation splits separately
+    rng = np.random.default_rng(seed)
+    constant = tuple(int(c) if c else None for c in rng.integers(0, k + 1, size=m_out))
+    model = MultinomialLRModel(rng.standard_normal((m_out, k, d)) * 3.0, constant)
+    features = rng.standard_normal((n, d))
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    full = predict_proba(model, features).values
+    assert np.array_equal(predict_proba(model, features[rows]).values, full[rows])
 
 
 class TestGenerateSynthetic:

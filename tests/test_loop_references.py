@@ -1,8 +1,10 @@
 """Per-cell Python loops as references for the confusion builders, the
 averaged utilities, the weighted decision rule and the exhaustive oracle; the
-plain allocating gradient step as the reference for the logistic-regression
-descent; and the bisection that re-scores every row at every gamma as the
-reference for the search, which re-scores only the rows that can change."""
+plain allocating gradient step, written class-major, as the bit-for-bit
+reference for the logistic-regression descent, and the sample-major step as
+its reference within a few ulps; and the bisection that re-scores every row
+at every gamma as the reference for the search, which re-scores only the rows
+that can change."""
 
 import itertools
 from unittest.mock import patch
@@ -197,8 +199,29 @@ def test_instance_oracle_matches_per_cell_loop_and_refuses_probabilities(n, m_ou
 
 
 def plain_descent(features, labels, l2=1e-4, step=0.1, iterations=500):
-    """The descent by the plain formula, with a fresh softmax, one-hot and
-    gradient on every step; ``fit_lr`` must match it bit for bit."""
+    """The descent by the plain formula written class-major, with fresh (K, N)
+    logits, softmax over classes, one-hot and gradient on every step;
+    ``fit_lr`` must match it bit for bit."""
+    n, k = labels.n_samples, labels.n_classes
+    weights = np.zeros((labels.n_outputs, k, features.shape[1]))
+    for m in range(labels.n_outputs):
+        if np.unique(labels.values[:, m]).size == 1:
+            continue
+        onehot = np.zeros((k, n))
+        onehot[labels.values[:, m] - 1, np.arange(n)] = 1.0
+        w = weights[m]
+        for _ in range(iterations):
+            logits = -(w @ features.T)
+            expd = np.exp(logits - logits.max(axis=0))
+            probs = expd / expd.sum(axis=0)
+            w -= step * (-(probs - onehot) @ features / n + l2 * w)
+    return weights
+
+
+def sample_major_descent(features, labels, l2=1e-4, step=0.1, iterations=500):
+    """The same descent by the sample-major formula: (N, K) logits, softmax
+    over each row.  numpy sums a row's K terms pairwise, not in class order,
+    so ``fit_lr`` is only within a few ulps of it."""
     n, k = labels.n_samples, labels.n_classes
     weights = np.zeros((labels.n_outputs, k, features.shape[1]))
     for m in range(labels.n_outputs):
@@ -213,6 +236,14 @@ def plain_descent(features, labels, l2=1e-4, step=0.1, iterations=500):
             probs = expd / expd.sum(axis=1, keepdims=True)
             w -= step * (-(probs - onehot).T @ features / n + l2 * w)
     return weights
+
+
+def assert_near_sample_major(weights, features, labels, iterations):
+    # the two summation orders differ by a few ulps per step; 1e-12 of the
+    # largest weight is thousands of ulps, far below any change of the descent
+    reference = sample_major_descent(features, labels, iterations=iterations)
+    scale = np.abs(reference).max()
+    assert np.abs(weights - reference).max() <= 1e-12 * scale
 
 
 def _laid_out(features, layout):
@@ -245,6 +276,7 @@ def test_descent_matches_plain_step_bit_for_bit(n, d, m_out, k, iterations, layo
     labels = LabelMatrix(values, k)
     model = fit_lr(features, labels, iterations=iterations)
     assert np.array_equal(model.weights, plain_descent(features, labels, iterations=iterations))
+    assert_near_sample_major(model.weights, features, labels, iterations)
 
 
 def test_descent_matches_plain_step_at_benchmark_shape():
@@ -254,12 +286,15 @@ def test_descent_matches_plain_step_at_benchmark_shape():
     labels = LabelMatrix(rng.integers(1, 11, size=(4000, 2)), 10)
     model = fit_lr(features, labels, iterations=500)
     assert np.array_equal(model.weights, plain_descent(features, labels, iterations=500))
+    assert_near_sample_major(model.weights, features, labels, 500)
 
 
-@pytest.mark.parametrize("k", [129, 200])
+@pytest.mark.parametrize("k", [129, 200, 201, 300])
 def test_descent_matches_plain_step_above_numpys_pairwise_block(k):
-    # above 128 classes numpy's pairwise sum splits a row in two, and so must
-    # the descent's class-major row sums
+    # above 128 cells numpy's pairwise sum splits a row, and the class-major
+    # sums do not; under OpenBLAS, W @ X^T and X @ W^T differ in the last bit
+    # for K above 192 that is not a multiple of 8 (201, 300), and the
+    # class-major step matches there too
     rng = np.random.default_rng(k)
     features = rng.standard_normal((40, 6))
     labels = LabelMatrix(rng.integers(1, k + 1, size=(40, 2)), k)

@@ -24,8 +24,8 @@ elsewhere: ``eval`` with a 3-class ``loss_based`` metric on 2-class files,
 3-class ``fractional_linear`` metric on 2-class labels, and
 ``postprocess --features`` with the 3-class ``loss_based`` metric.
 The benchmark reaches ``fit_lr`` only at K=10, so ``train-lr`` runs on seeded
-N=400, D=6, M=2 fixtures at K=3, 10 and 130 (each branch of the descent's
-pairwise row sums), and at K=3 once more with the features rewritten ``%.17e``:
+N=400, D=6, M=2 fixtures at K=3, 10 and 130 (up to 130 terms in each
+softmax denominator), and at K=3 once more with the features rewritten ``%.17e``:
 negative and exponent cells for the float byte reader, where ``probs.csv`` shows
 a feature's last bit.  ``postprocess --probs`` runs on a seeded N=200, M=2, K=4
 field rewritten ``%.17e``, and on a seeded N=1500, M=3, K=120 field, whose
