@@ -24,8 +24,8 @@ from .confusion import LabelMatrix, ProbabilityField
 _WRITE_CELLS = 1 << 12
 # bytes of a label file parsed at a time, so its temporaries stay a few MB at any size
 _READ_BYTES = 1 << 16
-# bytes of a float table parsed at a time: its temporaries are about 20 bytes a byte, and
-# its 30-odd numpy calls a block made 64 KiB blocks 1.3x slower to parse than 128 KiB
+# bytes of a float table parsed at a time: its temporaries peak at about 14 bytes a byte, and
+# its 130-odd numpy calls a block make 64 KiB blocks 1.14x slower to parse than 128 KiB
 _READ_FLOAT_BYTES = 1 << 17
 
 

@@ -550,6 +550,7 @@ def _float_outcome(read, path):
 @example(table=np.array([FLOAT_EXAMPLES[:4]]), kind="features", read_bytes=1 << 18)
 @example(table=np.array([FLOAT_EXAMPLES[4:8]]), kind="features", read_bytes=7)
 @example(table=np.array([[MIDPOINT, -MIDPOINT]]), kind="features", read_bytes=1 << 18)
+@example(table=np.array([[12.5, MIDPOINT, -123.25]]), kind="features", read_bytes=1 << 18)
 @example(table=np.array(FLOAT_EXAMPLES[9:]).reshape(-1, 3), kind="probs", read_bytes=64)
 @example(table=np.array([[0.25, 0.75], [1.0, 0.0]]), kind="probs", read_bytes=1)
 def test_float_byte_reader_agrees_with_the_general_reader(table, kind, read_bytes):
@@ -611,6 +612,13 @@ ODD_CELLS = [
     ("-7e-05", False),
     ("1e-0005", False),
     ("1234567890.123456789", False),  # 19 digits, 10 of them whole
+    ("123456789.5", False),  # 9 whole digits, in the windows
+    ("-12345678.125", False),
+    ("00012.5", False),
+    ("0.000000000000000000001234", False),  # 25 digits in I and F
+    ("9999999999999999999", False),  # m < 10**19, exact
+    ("12345678901234567890", False),  # m >= 10**19: the top window holds 1000 or more
+    ("1.23456789012345678901234", False),  # 24 digits, the top window at 1234
     ("0.12345678901234567890", False),  # 20 significant digits
     ("0.123456789012345678901", False),  # 21 significant digits: m would pass 2**64
     ("0.1234567890123456789012345", False),  # 25 fraction digits
@@ -669,18 +677,20 @@ def test_without_an_x87_long_double_the_general_reader_reads_floats(tmp_path):
                             _float_outcome(read_features, features)]
 
 
-@pytest.mark.parametrize("valid", range(9))
+@pytest.mark.parametrize("valid", range(-2, 11))
 def test_the_eight_digit_step_matches_int(valid):
-    """Each window's last ``valid`` bytes are its digits; the bytes before them are masked
-    off, whatever they hold.  Every operand stays uint64, so numpy < 2 keeps every digit."""
-    rng = np.random.default_rng(valid)
+    """Each window's last ``valid`` bytes, clipped to 0-8, are its digits; the bytes before
+    them are masked off, whatever they hold.  Every operand of the join stays uint64, so
+    numpy < 2 keeps every digit of its 2**32-scaled multipliers."""
+    digits = min(max(valid, 0), 8)
+    rng = np.random.default_rng(digits)
     texts = [bytes(rng.integers(ord("0"), ord("9") + 1, 8, dtype=np.uint8)) for _ in range(200)]
     texts += [b"9" * 8, b"0" * 8]
-    texts += [junk[: 8 - valid] + b"9" * valid for junk in (b"-e.,\n+_x", b"\xff" * 8)]
+    texts += [junk[: 8 - digits] + b"9" * digits for junk in (b"-e.,\n+_x", b"\xff" * 8)]
     windows = np.array([int.from_bytes(text, "little") for text in texts], dtype=np.uint64)
-    got = _floats.digit_windows(windows, np.full(len(texts), valid))
+    got = _floats.eight_digits(windows, np.full(len(texts), valid))
     assert got.dtype == np.uint64
-    assert got.tolist() == [int(text[8 - valid :] or b"0") for text in texts]
+    assert got.tolist() == [int(text[8 - digits :] or b"0") for text in texts]
 
 
 def test_a_million_row_probability_file_reads_within_one_and_a_half_arrays(tmp_path):

@@ -10,9 +10,12 @@ K unless given, and written once, in a process of their own: on Linux a process'
 ``ru_maxrss`` starts at the resident size of the process that started it, so
 this one stays small.  The command then runs twice in a fresh process with
 ``ROOT/src`` on ``PYTHONPATH`` (default: the tree this script sits in) and one
-BLAS thread: once untraced, for the process's ``ru_maxrss``, and once under
-``tracemalloc``, for the peak of memory allocated through Python, numpy arrays
-included.  Each command prints one JSON line; both peaks are in MiB.
+BLAS thread: once untraced, for the process's ``ru_maxrss``, its minor page
+faults (``ru_minflt``, the import included) and the wall time of the command
+itself, and once under ``tracemalloc``, for the peak of memory allocated through
+Python, numpy arrays included.  Each command prints one JSON line; both peaks are
+in MiB.  Every real command starts cold like this, unlike the benchmark's
+repeated operations in one process.
 """
 
 from __future__ import annotations
@@ -35,33 +38,37 @@ WORKLOAD_OF = {"eval": "eval-preds", "postprocess": "tune-probs"}
 SEED = 0
 
 # argv: traced (0 or 1), then the command line; prints the module path, exit code,
-# tracemalloc peak in bytes and ru_maxrss in KiB
+# tracemalloc peak in bytes, ru_maxrss in KiB, ru_minflt and the command's wall time in s
 CHILD = """
-import resource, sys, tracemalloc
+import resource, sys, time, tracemalloc
 import metricopt.cli as cli
 traced = sys.argv[1] == "1"
 if traced:
     tracemalloc.start()
+start = time.perf_counter()
 code = cli.main(sys.argv[2:])
+wall = time.perf_counter() - start
 peak = tracemalloc.get_traced_memory()[1] if traced else 0
-print(cli.__file__, code, peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(cli.__file__, code, peak, usage.ru_maxrss, usage.ru_minflt, wall)
 """
 
 
-def run_child(tree: Path, argv: list[str], traced: bool) -> tuple[int, int]:
-    """The tracemalloc peak and ``ru_maxrss`` of one run of ``argv``, in bytes."""
+def run_child(tree: Path, argv: list[str], traced: bool) -> tuple[int, int, int, float]:
+    """The tracemalloc peak and ``ru_maxrss`` of one run of ``argv``, in bytes, its
+    ``ru_minflt`` and the wall time of ``cli.main``, in s."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.update({variable: BLAS_THREADS for variable in THREAD_VARIABLES})
     done = subprocess.run([sys.executable, "-c", CHILD, str(int(traced)), *argv], env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{argv[0]} failed: {done.stderr.strip()}")
-    module, code, peak, maxrss_kib = done.stdout.split()[-4:]
+    module, code, peak, maxrss_kib, minflt, wall = done.stdout.split()[-6:]
     if not Path(module).resolve().is_relative_to(tree / "src"):
         raise SystemExit(f"metricopt resolves to {module}, outside {tree / 'src'}")
     if code != "0":
         raise SystemExit(f"{argv[0]} exited {code}: {done.stderr.strip()}")
-    return int(peak), int(maxrss_kib) * 1024
+    return int(peak), int(maxrss_kib) * 1024, int(minflt), float(wall)
 
 
 def write_inputs(command: str, size: dict[str, int], work: str):
@@ -79,11 +86,12 @@ def measure(command: str, tree: Path, size: dict[str, int]) -> dict:
     with tempfile.TemporaryDirectory() as work:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             size, argv = pool.apply(write_inputs, (command, size, work))
-        _, maxrss = run_child(tree, argv, traced=False)
-        peak, _ = run_child(tree, argv, traced=True)
+        _, maxrss, minflt, wall = run_child(tree, argv, traced=False)
+        peak, *_ = run_child(tree, argv, traced=True)
     mib = 1 << 20
     return {"command": command, **size, "seed": SEED, "tree": str(tree),
-            "ru_maxrss_mib": round(maxrss / mib, 1), "traced_peak_mib": round(peak / mib, 1)}
+            "ru_maxrss_mib": round(maxrss / mib, 1), "traced_peak_mib": round(peak / mib, 1),
+            "ru_minflt": minflt, "wall_s": round(wall, 3)}
 
 
 def main(argv: list[str] | None = None) -> int:
