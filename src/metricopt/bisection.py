@@ -131,6 +131,23 @@ def tuning_bracket(flm: FractionalLinearMetric, n_classes: int) -> tuple[float, 
     return float(ratios.min()), float(ratios.max())
 
 
+def _integers(flm: FractionalLinearMetric) -> list[int]:
+    """The entries of A, then of B, times the largest denominator among them: each float64 is an
+    integer over a power of two, so every product is a Python integer."""
+    ratios = [x.as_integer_ratio() for x in [*flm.numerator_A.flat, *flm.denominator_B.flat]]
+    scale = max(q for _, q in ratios)
+    return [p * (scale // q) for p, q in ratios]
+
+
+def _at_least(ints: list[int], counts: np.ndarray, gamma: float) -> bool:
+    """Whether <A, S> >= gamma * <B, S> holds exactly, S the (M, K, K) ``counts`` summed over the
+    outputs and ``ints`` the entries of A and B from ``_integers``."""
+    cells = counts.sum(axis=0).ravel().tolist()
+    num, den = (sum(map(int.__mul__, ints[i * len(cells) :], cells)) for i in (0, 1))
+    g, q = gamma.as_integer_ratio()
+    return num * q >= g * den
+
+
 def _search(
     truth: np.ndarray, rows: np.ndarray, flm: FractionalLinearMetric, cfg: BisectionConfig, bracket
 ) -> BisectionTrace:
@@ -142,8 +159,11 @@ def _search(
     flat = rows.reshape(-1, k)  # row n*M + m
     preds = np.zeros(n * m_out, dtype=np.min_scalar_type(k))  # row n*M + m, 1-based
     margin = _SETTLED * (max(-lower, upper) * flm.denominator_B.max() + abs(flm.numerator_A).max())
+    # the float utility rounds by at most 2 (K*K + M + 5) ulps of the bracket's largest end
+    near = 4 * (k * k + m_out + 5) * np.finfo(float).eps * max(-lower, upper)
     counts = None  # against labels: the (M, K, K) int counts of ``preds``, kept by rescore
     true_flat = truth.reshape(-1) if truth.ndim == 2 else None  # row n*M + m
+    ints = None if true_flat is None else _integers(flm)
 
     def rescore(
         loss: LossTensor, span: float | None = None, active=slice(None)
@@ -205,6 +225,8 @@ def _search(
         if changed:  # otherwise the predictions, and so their utility, are the previous candidate's
             cand_utility = utility_of()
         accepted = cand_utility >= gamma  # exact equality counts as success
+        if counts is not None and abs(cand_utility - gamma) <= near:
+            accepted = _at_least(ints, counts, gamma)
         if accepted:
             lower = gamma
             if cand_utility >= best_utility:

@@ -47,50 +47,23 @@ class MultinomialLRModel:
     constant_classes: tuple = ()
 
 
-class _DescentBuffers:
-    """Arrays one output's descent rewrites on every step, allocated once.
+def _ce_grad(
+    weights: np.ndarray, xt: np.ndarray, features: np.ndarray, flat: np.ndarray, l2: float
+) -> np.ndarray:
+    """A fresh gradient of the L2-regularized mean cross-entropy for one output.
 
-    ``classes`` holds the output's 1-based training labels; ``flat`` indexes
-    each sample's true class in the flattened class-major (K, N) buffer ``lt``.
+    ``weights`` is (K, D), ``xt`` the contiguous (D, N) transpose of ``features`` and ``flat``
+    each true class's index ``(y - 1)*N + n`` in the flattened class-major (K, N) ``L = W @ X^T``;
+    the logits are -L.  Returns ``-(softmax(-L) - onehot^T) @ X / N + l2 * W``, the softmax over
+    classes: its shift is the exact ``min(L) - L``, and each denominator adds its K terms in class
+    order, where the sample-major formula sums them pairwise, a few ulps apart.
     """
-
-    def __init__(self, features: np.ndarray, classes: np.ndarray, k: int):
-        n, d = features.shape
-        self.features = features
-        self.xt = np.ascontiguousarray(features.T)
-        self.flat = (classes - 1) * n + np.arange(n)
-        self.lt = np.empty((k, n))
-        self.row = np.empty(n)
-        self.grad = np.empty((k, d))
-        self.penalty = np.empty((k, d))
-
-
-def _ce_grad(weights: np.ndarray, buf: _DescentBuffers, l2: float) -> np.ndarray:
-    """Gradient of the L2-regularized mean cross-entropy for one output.
-
-    ``weights`` is (K, D); with ``L = W @ X^T``, held class-major as (K, N),
-    the logits are -L.  Writes into ``buf`` and returns ``buf.grad``, with the
-    bits of the plain class-major step
-    ``-(softmax(-L) - onehot^T) @ X / N + l2 * W``, the softmax taken over
-    classes (axis 0): its shift ``-L - max(-L)`` is the exact ``min(L) - L``,
-    and each sample's denominator adds its K terms in class order.  The
-    sample-major formula sums them pairwise, so the two differ in the last
-    bits.
-    """
-    lt = buf.lt
-    np.matmul(weights, buf.xt, out=lt)
-    np.min(lt, axis=0, out=buf.row)
-    np.subtract(buf.row, lt, out=lt)
+    lt = weights @ xt
+    np.subtract(lt.min(axis=0), lt, out=lt)
     np.exp(lt, out=lt)
-    np.divide(lt, np.sum(lt, axis=0, out=buf.row), out=lt)
-    # one N-vector temporary; np.take/np.put through buf.row avoid it but were slower
-    lt.reshape(-1)[buf.flat] -= 1.0
-    grad = np.matmul(lt, buf.features, out=buf.grad)
-    np.negative(grad, out=grad)
-    np.divide(grad, buf.features.shape[0], out=grad)
-    np.multiply(l2, weights, out=buf.penalty)
-    np.add(grad, buf.penalty, out=grad)
-    return grad
+    lt /= lt.sum(axis=0)
+    lt.reshape(-1)[flat] -= 1.0
+    return -(lt @ features) / len(features) + l2 * weights
 
 
 def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> MultinomialLRModel:
@@ -98,8 +71,8 @@ def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> 
     ``LR_STEP`` and L2 penalty ``LR_L2``.
 
     The descent is deterministic from a zero initialization, and each step
-    is the plain class-major step of ``_ce_grad``, bit for bit.  No intercept
-    column is added; append a constant feature when one is wanted.
+    is ``_ce_grad``'s plain class-major step on one transpose of the features.
+    No intercept column is added; append a constant feature when one is wanted.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -113,6 +86,7 @@ def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> 
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     m_out, k = labels.n_outputs, labels.n_classes
+    xt = np.ascontiguousarray(features.T)
     weights = np.zeros((m_out, k, features.shape[1]))
     constant: list = []
     for m in range(m_out):
@@ -121,10 +95,10 @@ def fit_lr(features: np.ndarray, labels: LabelMatrix, iterations: int = 500) -> 
             constant.append(int(classes[0]))
             continue
         constant.append(None)
-        buf = _DescentBuffers(features, labels.values[:, m], k)
+        flat = (labels.values[:, m] - 1) * len(features) + np.arange(len(features))
         w = weights[m]
         for _ in range(iterations):
-            grad = _ce_grad(w, buf, LR_L2)
+            grad = _ce_grad(w, xt, features, flat, LR_L2)
             grad *= LR_STEP
             w -= grad
     return MultinomialLRModel(weights, tuple(constant))

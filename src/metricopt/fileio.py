@@ -258,7 +258,9 @@ def read_probs(path: str | Path) -> ProbabilityField:
         try:
             m_out, k = int(meta["M"]), int(meta["K"])
         except (KeyError, ValueError):
-            raise ValueError(f"{path}:1: malformed metadata {meta_line!r}") from None
+            m_out = k = 0
+        if min(m_out, k) < 1:
+            raise ValueError(f"{path}:1: malformed metadata {meta_line!r}")
         expected_header = [f"p_{m + 1}_{c + 1}" for m in range(m_out) for c in range(k)]
         if [c.strip() for c in _cells(handle.readline())] != expected_header:
             raise ValueError(f"{path}:2: header must be {','.join(expected_header)}")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def random_labels(rng, n_samples, n_outputs, n_classes):
 def random_prob_rows(rng, n_samples, n_outputs, n_classes):
     raw = rng.dirichlet(np.ones(n_classes), size=(n_samples, n_outputs))
     return raw
+
+
+def exact_utility(flm, labels, preds):
+    """The micro utility of (N, M) ``preds`` against ``labels`` in rationals: the confusion
+    counted in integers over every output, each float64 entry of A and B taken exactly."""
+    k = flm.n_classes
+    cells = np.zeros((k, k), dtype=np.int64)
+    np.add.at(cells, (labels.values.ravel() - 1, np.asarray(preds).ravel() - 1), 1)
+    num, den = (
+        sum(Fraction(x) * c for x, c in zip(matrix.ravel().tolist(), cells.ravel().tolist()))
+        for matrix in (flm.numerator_A, flm.denominator_B)
+    )
+    return num / den
 
 
 def exact_family_best(truth, probs, flm):

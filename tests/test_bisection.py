@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -38,7 +39,7 @@ from metricopt.metrics import (
     loss_from_gamma,
 )
 
-from conftest import exact_family_best, random_labels, random_prob_rows
+from conftest import exact_family_best, exact_utility, random_labels, random_prob_rows
 
 
 def grouped_fixture():
@@ -379,6 +380,53 @@ class TestSearchProperties:
             if np.sum(b * conf) < DENOMINATOR_FLOOR:
                 continue
             assert lower - tol <= flm.evaluate(conf) <= upper + tol
+
+
+def exact_record_utilities(labels, probs, flm, records):
+    """Each record's utility in rationals, its gamma's rule rebuilt with ``loss_from_gamma``
+    and ``weighted_predict``."""
+    return [
+        exact_utility(flm, labels, weighted_predict(loss_from_gamma(flm, r.gamma), probs).values)
+        for r in records
+    ]
+
+
+class TestExactAccept:
+    def test_a_candidate_below_gamma_by_less_than_its_rounding_is_rejected(self):
+        # the float ratio of the last candidate's confusion rounds 17/70 up onto gamma
+        rng = np.random.default_rng(50)
+        n, k = int(rng.integers(20, 200)), int(rng.integers(2, 5))
+        probs = ProbabilityField(rng.dirichlet(np.ones(k), size=(n, 1)))
+        labels = LabelMatrix(rng.integers(1, k + 1, size=(n, 1)), k)
+        flm = MetricSpec.micro_f1(k).ratio
+        _, trace = bisect_micro(labels, probs, flm, BisectionConfig(iterations=50))
+        last = trace.records[-1]
+        assert (n, k, last.gamma) == (160, 4, 0.24285714285714288)
+        assert exact_record_utilities(labels, probs, flm, [last]) == [Fraction(17, 70)]
+        assert Fraction(17, 70) < Fraction(last.gamma)
+        assert not last.accepted
+        assert last.upper == last.gamma
+
+    @settings(max_examples=40, deadline=None)
+    @given(micro_f1=st.booleans(), **instances)
+    def test_every_decision_is_the_exact_one(self, micro_f1, seed, n, m_out, k):
+        labels, probs, flm = random_instance(seed, n, m_out, k)
+        if micro_f1:
+            flm = MetricSpec.micro_f1(k).ratio
+        cfg = BisectionConfig(iterations=50)
+        try:
+            _, trace = bisect_micro(labels, probs, flm, cfg)
+            _, traces = bisect_macro(labels, probs, flm, cfg)
+        except GuardError:
+            return
+        columns = [(labels, probs)] + [
+            (LabelMatrix(labels.values[:, [m]], k), ProbabilityField(probs.values[:, [m]]))
+            for m in range(m_out)
+        ]
+        for (truth, rows), searched in zip(columns, [trace, *traces]):
+            exact = exact_record_utilities(truth, rows, flm, searched.records)
+            for record, utility in zip(searched.records, exact):
+                assert record.accepted == (utility >= Fraction(record.gamma))
 
 
 class TestBruteForceOracle:

@@ -9,7 +9,6 @@ from metricopt.estimators import (
     MultinomialLRModel,
     SyntheticConfig,
     _ce_grad,
-    _DescentBuffers,
     fit_lr,
     generate_synthetic,
     performance_ratio_grid,
@@ -23,6 +22,13 @@ def ce_loss(weights, features, onehot, l2):
     logits = -features @ weights.T
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return -np.sum(onehot * log_probs) / features.shape[0] + 0.5 * l2 * np.sum(weights**2)
+
+
+def descent_inputs(features, labels):
+    """``_ce_grad``'s (xt, features, flat) for output 0 of ``labels``, as ``fit_lr`` builds them."""
+    n = len(features)
+    flat = (labels.values[:, 0] - 1) * n + np.arange(n)
+    return np.ascontiguousarray(features.T), features, flat
 
 
 def separable_blobs(rng, n_per_class=60):
@@ -52,8 +58,7 @@ class TestFitLR:
     def test_gradient_small_at_returned_optimum(self, rng):
         features, labels = separable_blobs(rng, n_per_class=40)
         model = fit_lr(features, labels, iterations=25000)
-        buf = _DescentBuffers(features, labels.values[:, 0], 2)
-        grad = _ce_grad(model.weights[0], buf, LR_L2)
+        grad = _ce_grad(model.weights[0], *descent_inputs(features, labels), LR_L2)
         assert np.linalg.norm(grad) <= 1e-4
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
@@ -62,7 +67,7 @@ class TestFitLR:
         onehot = np.zeros((25, 3))
         onehot[np.arange(25), labels.values[:, 0] - 1] = 1.0
         weights = rng.standard_normal((3, 3)) * 0.3
-        grad = _ce_grad(weights, _DescentBuffers(features, labels.values[:, 0], 3), 1e-4)
+        grad = _ce_grad(weights, *descent_inputs(features, labels), 1e-4)
         step = 1e-6
         flat = [(0, 0), (1, 2), (2, 1), (0, 2), (2, 2)]
         for idx in flat:

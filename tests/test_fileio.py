@@ -370,7 +370,9 @@ class TestErrors:
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed header")):
             KINDS[kind][1](path)
 
-    @pytest.mark.parametrize("meta", ["# M=1", "# M=x,K=2", "# K=2,M="])
+    @pytest.mark.parametrize(
+        "meta", ["# M=1", "# M=x,K=2", "# K=2,M=", "# M=0,K=3", "# M=1,K=0", "# M=-1,K=2"]
+    )
     def test_bad_metadata(self, tmp_path, meta):
         path = tmp_path / "probs.csv"
         path.write_text(f"{meta}\np_1_1,p_1_2\n0.5,0.5\n")

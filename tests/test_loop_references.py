@@ -7,6 +7,7 @@ at every gamma as the reference for the search, which re-scores only the rows
 that can change."""
 
 import itertools
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -44,6 +45,8 @@ from metricopt.metrics import (
     as_fractional_linear,
     loss_from_gamma,
 )
+
+from conftest import exact_utility
 
 # A sum of N terms in [0, 1], divided by N, is off by at most about N ulps of 1.
 EPS = np.finfo(float).eps
@@ -309,7 +312,8 @@ def full_rescoring_bisect_micro(
     cfg: BisectionConfig,
 ) -> tuple[LossTensor, BisectionTrace]:
     """The micro search as it was before it skipped settled rows: every row is
-    re-scored by ``weighted_predict`` at every gamma."""
+    re-scored by ``weighted_predict`` at every gamma.  Against labels, each
+    candidate is accepted when its exact rational utility is at least gamma."""
     confusion._check_paired(truth, probs_hat)
     m_out, k = truth.n_outputs, flm.n_classes
     lower, upper = tuning_bracket(flm, truth.n_classes)
@@ -333,6 +337,9 @@ def full_rescoring_bisect_micro(
         cand_loss = loss_from_gamma(flm, gamma)
         cand_utility = utility_of(cand_loss)
         accepted = cand_utility >= gamma  # exact equality counts as success
+        if isinstance(truth, LabelMatrix):
+            preds = weighted_predict(cand_loss, probs_hat).values
+            accepted = exact_utility(flm, truth, preds) >= Fraction(gamma)
         if accepted:
             lower = gamma
             if cand_utility >= best_utility:

@@ -1,21 +1,23 @@
-"""Peak memory of ``eval`` and ``postprocess --probs`` at a chosen size.
+"""Peak memory of ``eval``, ``postprocess --probs`` and ``postprocess --features``
+at a chosen size.
 
-    python3 tools/peak_memory.py eval postprocess --n 250000 [--m 4 --k 10]
-        [--tree ROOT]
+    python3 tools/peak_memory.py eval postprocess postprocess-features --n 250000
+        [--m 4 --k 10] [--tree ROOT]
 
 For each command the inputs are drawn as the benchmark draws them
 (``perfbench.workloads``: ``eval-preds`` for ``eval``, ``tune-probs`` for
-``postprocess --probs``) from seed 0 at N rows, with the workload's own M and
-K unless given, and written once, in a process of their own: on Linux a process's
-``ru_maxrss`` starts at the resident size of the process that started it, so
-this one stays small.  The command then runs twice in a fresh process with
-``ROOT/src`` on ``PYTHONPATH`` (default: the tree this script sits in) and one
-BLAS thread: once untraced, for the process's ``ru_maxrss``, its minor page
-faults (``ru_minflt``, the import included) and the wall time of the command
-itself, and once under ``tracemalloc``, for the peak of memory allocated through
-Python, numpy arrays included.  Each command prints one JSON line; both peaks are
-in MiB.  Every real command starts cold like this, unlike the benchmark's
-repeated operations in one process.
+``postprocess --probs`` and ``fit-tune`` for ``postprocess --features``, which
+fits the logistic regression on half the rows) from seed 0 at N rows, with the
+workload's own M and K unless given (and its own D), and written once, in a
+process of their own: on Linux a process's ``ru_maxrss`` starts at the resident
+size of the process that started it, so this one stays small.  The command then
+runs twice in a fresh process with ``ROOT/src`` on ``PYTHONPATH`` (default: the
+tree this script sits in) and one BLAS thread: once untraced, for the process's
+``ru_maxrss``, its minor page faults (``ru_minflt``, the import included) and the
+wall time of the command itself, and once under ``tracemalloc``, for the peak of
+memory allocated through Python, numpy arrays included.  Each command prints one
+JSON line; both peaks are in MiB.  Every real command starts cold like this, unlike
+the benchmark's repeated operations in one process.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.run import BLAS_THREADS, THREAD_VARIABLES  # noqa: E402
 
-WORKLOAD_OF = {"eval": "eval-preds", "postprocess": "tune-probs"}
+WORKLOAD_OF = {
+    "eval": "eval-preds", "postprocess": "tune-probs", "postprocess-features": "fit-tune",
+}
 SEED = 0
 
 # argv: traced (0 or 1), then the command line; prints the module path, exit code,
