@@ -111,6 +111,7 @@ class BisectionTrace:
             "accepted": [r.accepted for r in self.records],
             "final_loss": self.final_loss.tolist(),
             "final_utility": self.final_utility,
+            "bracket_holds": self.records[-1].lower <= self.final_utility <= self.records[-1].upper,
         }
 
 

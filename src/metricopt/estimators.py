@@ -28,10 +28,15 @@ LR_STEP = 0.1
 LR_L2 = 1e-4
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+def _softmax_negated(lt: np.ndarray, axis: int) -> np.ndarray:
+    """softmax(-lt) along ``axis``, computed in ``lt`` itself, which it returns.
+
+    The shift ``min(lt) - lt`` is exactly ``-lt - max(-lt)``, so no negated copy is made.
+    """
+    np.subtract(lt.min(axis=axis, keepdims=True), lt, out=lt)
+    np.exp(lt, out=lt)
+    lt /= lt.sum(axis=axis, keepdims=True)
+    return lt
 
 
 @dataclass
@@ -58,10 +63,7 @@ def _ce_grad(
     classes: its shift is the exact ``min(L) - L``, and each denominator adds its K terms in class
     order, where the sample-major formula sums them pairwise, a few ulps apart.
     """
-    lt = weights @ xt
-    np.subtract(lt.min(axis=0), lt, out=lt)
-    np.exp(lt, out=lt)
-    lt /= lt.sum(axis=0)
+    lt = _softmax_negated(weights @ xt, axis=0)
     lt.reshape(-1)[flat] -= 1.0
     return -(lt @ features) / len(features) + l2 * weights
 
@@ -112,8 +114,7 @@ def predict_proba(model: MultinomialLRModel, features: np.ndarray) -> Probabilit
             f"features shape {features.shape} does not match model dimension "
             f"D={model.weights.shape[2]}"
         )
-    logits = -np.einsum("mkd,nd->nmk", model.weights, features)
-    probs = _softmax_rows(logits)
+    probs = _softmax_negated(np.einsum("mkd,nd->nmk", model.weights, features), axis=-1)
     for m, fixed in enumerate(model.constant_classes):
         if fixed is not None:
             probs[:, m, :] = 0.0
@@ -155,7 +156,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[np.ndarray, LabelMatrix, P
     """
     rng = np.random.default_rng(cfg.seed)
     features = rng.standard_normal((cfg.n_samples, cfg.n_features))
-    eta = _softmax_rows(-features @ synthetic_weights(cfg).T)
+    eta = _softmax_negated(features @ synthetic_weights(cfg).T, axis=-1)
     cumulative = np.cumsum(eta, axis=1)
     draws = rng.random(cfg.n_samples)
     labels = np.minimum(np.sum(draws[:, None] >= cumulative, axis=1), cfg.n_classes - 1) + 1

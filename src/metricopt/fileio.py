@@ -124,7 +124,21 @@ def _read_blocks(path, n_columns: int, header_lines: int, dtype, block_bytes: in
 
 
 def _parse_digits(text: np.ndarray, n_columns: int, flat: np.ndarray) -> int | None:
-    """Rows of cells of 1 to 18 ASCII digits, as int64: see ``_read_blocks``."""
+    """Rows of cells of 1 to 18 ASCII digits, as int64: see ``_read_blocks``.
+
+    A block of one-digit cells is ``n_columns`` (digit, separator) byte pairs a row, so
+    one little-endian uint16 view checks and parses it; any other block is scanned for
+    its separators.
+    """
+    if len(text) % (2 * n_columns) == 0 and len(text) // 2 <= flat.size:
+        # each pair less ("1", its column's separator) lies in 0..8 exactly when it is a
+        # digit 1-9 and that separator: a lower digit byte borrows from the separator byte
+        lowest = np.full(n_columns, ord(",") << 8 | ord("1"), dtype=np.uint16)
+        lowest[-1] = ord("\n") << 8 | ord("1")
+        digits = text.view("<u2").reshape(-1, n_columns) - lowest
+        if (digits <= 8).all():
+            np.add(digits.reshape(-1), 1, out=flat[: digits.size])
+            return digits.size
     codes = text - ord("0")  # wraps every non-digit above 9
     if codes[0] > 9:
         return None  # an empty cell, or a byte that is neither digit nor separator

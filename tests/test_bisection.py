@@ -382,6 +382,18 @@ class TestSearchProperties:
             assert lower - tol <= flm.evaluate(conf) <= upper + tol
 
 
+@pytest.mark.parametrize("seed, holds", [(0, True), (2, False)])
+def test_trace_says_whether_its_bracket_holds_the_returned_utility(seed, holds):
+    # on sample confusions the best rule can come before the bracket closes above it
+    rng = np.random.default_rng(seed)
+    probs = ProbabilityField(rng.dirichlet(np.ones(3), size=(60, 1)))
+    labels = LabelMatrix(rng.integers(1, 4, size=(60, 1)), 3)
+    _, trace = bisect_micro(labels, probs, MetricSpec.micro_f1(3).ratio, BisectionConfig())
+    doc = trace.to_dict()
+    assert (doc["lowers"][-1] <= doc["final_utility"] <= doc["uppers"][-1]) == holds
+    assert doc["bracket_holds"] is holds
+
+
 def exact_record_utilities(labels, probs, flm, records):
     """Each record's utility in rationals, its gamma's rule rebuilt with ``loss_from_gamma``
     and ``weighted_predict``."""

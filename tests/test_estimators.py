@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,22 @@ class TestPredictProba:
         model = MultinomialLRModel(weights, constant_classes=(None, None))
         probs = predict_proba(model, rng.standard_normal((50, 3)))
         np.testing.assert_allclose(probs.values.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_holds_one_output_array_and_gives_the_plain_softmax_bits(self, rng):
+        weights = rng.standard_normal((2, 10, 10))
+        features = rng.standard_normal((20000, 10))
+        model = MultinomialLRModel(weights, constant_classes=(None, None))
+        tracemalloc.start()
+        try:
+            probs = predict_proba(model, features).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (N, M, K) field itself, and the (N, M, 1) shift and sum
+        assert peak <= 1.5 * probs.nbytes, f"peak {peak} bytes for a {probs.nbytes}-byte field"
+        logits = -np.einsum("mkd,nd->nmk", weights, features)
+        expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert np.array_equal(probs, expd / expd.sum(axis=-1, keepdims=True))
 
 
 @settings(max_examples=60, deadline=None)

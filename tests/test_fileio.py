@@ -441,6 +441,18 @@ def _outcome(read, path):
 @example(table=(1, "300\n255\n256\n1000\n"), header_end="\n", read_bytes=16)
 @example(table=(2, "1,2\r" * 40), header_end="\n", read_bytes=3)
 @example(table=(2, "1,2\n" + ",".join(["123456789012345678"] * 2)), header_end="\n", read_bytes=5)
+# one-digit tables, parsed as (digit, separator) pairs, across block boundaries
+@example(table=(1, "1\n2\n3\n4\n5\n6\n7\n8\n9\n"), header_end="\n", read_bytes=3)
+@example(table=(3, "1,2,3\n4,5,6\n7,8,9"), header_end="\n", read_bytes=5)
+@example(table=(4, "9,8,7,6\n5,4,3,2\n1,2,3,4\n"), header_end="\n", read_bytes=9)
+@example(table=(2, "1,2\n3,4\n5,6\n7,8\n9,1"), header_end="\n", read_bytes=4)
+# pair-aligned bodies that are not one-digit tables, so they take the separator scan
+@example(table=(1, "12\n34\n"), header_end="\n", read_bytes=16)
+@example(table=(1, "123\n456\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1,2,3,4\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1,0\n2,3\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1,_\n2,3\n"), header_end="\n", read_bytes=16)
+@example(table=(2, "1,2\n\n"), header_end="\n", read_bytes=16)
 def test_byte_reader_agrees_with_the_general_reader(table, header_end, read_bytes):
     """The byte reader takes exactly the canonical files and parses them as
     ``_read_table`` does; ``read_labels`` gives what the general reader alone gives."""
@@ -463,6 +475,28 @@ def test_byte_reader_agrees_with_the_general_reader(table, header_end, read_byte
         got = _outcome(read_labels, path)
         with mock.patch.object(fileio, "_read_digits", lambda path, n_columns: None):
             assert got == _outcome(read_labels, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_out=st.integers(1, 8), blocks=st.floats(0, 3), final_newline=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_digit_tables_parse_to_the_general_readers_bits(m_out, blocks, final_newline, seed):
+    """Tables of classes 1-9 up to three 64 KiB blocks long, as ``write_predictions``
+    writes them, the last newline perhaps removed."""
+    n = max(1, int(blocks * fileio._READ_BYTES / (2 * m_out)))
+    classes = np.random.default_rng(seed).integers(1, 10, size=(n, m_out))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        write_predictions(path, LabelMatrix(classes, 9))
+        if not final_newline:
+            path.write_bytes(path.read_bytes()[:-1])
+        fast = fileio._read_digits(path, m_out)
+        with open(path) as handle:
+            handle.readline()
+            general = fileio._read_table(handle, path, m_out, np.int64, first_line=2)
+    assert fast.dtype == general.dtype == np.int64
+    assert fast.shape == general.shape == classes.shape
+    assert fast.tobytes() == general.tobytes()
 
 
 def test_a_body_without_newlines_is_given_up_within_a_block(tmp_path):

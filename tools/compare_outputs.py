@@ -18,6 +18,9 @@ macro.  ``eval`` also runs twice on a seeded N=200, M=3, K=12 fixture, so that
 two-digit classes occur: once on the files as ``write_predictions`` writes them,
 which the byte reader parses, and once on the same files with CRLF line ends,
 a space-padded cell and a ``+``-signed cell, which ``np.loadtxt`` parses.
+``eval`` also runs on seeded binary multilabel files (N=40000, M=4, K=2, five
+64 KiB blocks each) whose one-digit cells the byte reader parses as (digit,
+separator) pairs, the predictions file without its last newline.
 Every workload takes K from its files, so four seeded cases run at a K set
 elsewhere: ``eval`` with a 3-class ``loss_based`` metric on 2-class files,
 ``eval`` whose predictions file holds the larger K, ``oracle`` micro with a
@@ -192,6 +195,22 @@ def eval_case(rewritten: bool, seed: int):
     return prepare
 
 
+def multilabel_eval_case(seed: int):
+    """As ``workload_case``, for ``eval`` on seeded N=40000, M=4, K=2 files, the last
+    newline cut from the predictions file."""
+    def prepare(work: Path):
+        rng = np.random.default_rng(seed)
+        for name in ("labels", "preds"):
+            classes = rng.integers(1, 3, size=(40000, 4))
+            write_predictions(work / f"{name}.csv", LabelMatrix(classes, 2))
+        preds = work / "preds.csv"
+        preds.write_bytes(preds.read_bytes()[:-1])
+        return lambda out_dir: ["eval", "--labels", str(work / "labels.csv"), "--preds", str(preds),
+                                "--metric", "micro_f1", "--averaging", "macro",
+                                "--out", f"{out_dir}/report.json"]
+    return prepare
+
+
 def class_count_case(command: str, k_preds: int, metric: str, seed: int):
     """As ``workload_case``, for ``command`` with ``metric`` on seeded 2-class labels, with
     predictions of ``k_preds`` classes (``eval``) or D=3 features (``postprocess``); N=5,
@@ -287,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
               for command, metric, mode, with_probs in SMALL_CASES for seed in args.seeds]
     cases += [(f"eval K=12{' CRLF, padded, signed' * rewritten} seed {seed}",
                eval_case(rewritten, seed)) for rewritten in (False, True) for seed in args.seeds]
+    cases += [(f"eval K=2 multilabel, no last newline seed {seed}", multilabel_eval_case(seed))
+              for seed in args.seeds]
     cases += [(f"{name} seed {seed}", class_count_case(command, k_preds, metric, seed))
               for name, command, k_preds, metric in CLASS_COUNT_CASES for seed in args.seeds]
     cases += [(f"train-lr K={k} seed {seed}", train_lr_case(k, seed))
