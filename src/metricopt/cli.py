@@ -63,10 +63,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:

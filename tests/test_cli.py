@@ -93,7 +93,7 @@ class TestEval:
             ]
         )
         assert code == 0
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         assert report.utilities["micro"] == 1.0
         assert report.utilities["macro"] == 1.0
 
@@ -113,7 +113,7 @@ class TestEval:
             ]
         )
         assert code == 0
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         assert report.utilities["micro"] == 0.0
         # the confusion tensor is embedded with the known values
         np.testing.assert_allclose(report.confusion, [[[0.5, 0.0], [0.5, 0.0]]])
@@ -268,7 +268,7 @@ class TestPostprocess:
             ]
         )
         assert code == 0
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         assert report.trace["iterations"] == 50
         final_width = report.trace["uppers"][-1] - report.trace["lowers"][-1]
         assert final_width == 2.0**-50
@@ -300,8 +300,8 @@ class TestPostprocess:
             ]
         )
         assert code == 0
-        posted = RunReport.from_json(post_report.read_text())
-        evaled = RunReport.from_json(eval_report.read_text())
+        posted = RunReport(**json.loads(post_report.read_text()))
+        evaled = RunReport(**json.loads(eval_report.read_text()))
         assert posted.utilities["macro"] == evaled.utilities["macro"]
         # macro runs carry one trace per output
         assert isinstance(posted.trace, list) and len(posted.trace) == 2
@@ -319,7 +319,7 @@ class TestPostprocess:
                 "--out", str(out),
             ]
         )
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         from metricopt.bisection import BisectionConfig, bisect_micro
         from metricopt.metrics import MetricSpec, as_fractional_linear
 
@@ -369,7 +369,7 @@ class TestPostprocess:
                      "--preds", str(tmp_path / "final.csv"),
                      "--out", str(tmp_path / "report.json")])
         assert code == 0
-        report = RunReport.from_json((tmp_path / "report.json").read_text())
+        report = RunReport(**json.loads((tmp_path / "report.json").read_text()))
         fit_idx, _ = _split_indices(n, seed)
         model = fit_lr(features[fit_idx], LabelMatrix(labels.values[fit_idx], k))
         loss = LossTensor(np.array(report.loss["slices"]))
@@ -428,7 +428,7 @@ class TestPostprocess:
             ]
         )
         assert code == 0
-        return RunReport.from_json(out.read_text())
+        return RunReport(**json.loads(out.read_text()))
 
     def test_micro_search_utility_is_the_reported_utility(self, tmp_path):
         # the search and the report score the same predictions on the same rows
@@ -680,7 +680,7 @@ def test_tuned_rule_never_below_the_argmax_rule(seed, n, m_out, k, kind, averagi
                      "--metric", json.dumps(config), "--averaging", averaging,
                      "--iters", str(iters), "--out", f"{tmp}/report.json"])
         assert code == 0
-        report = RunReport.from_json(Path(f"{tmp}/report.json").read_text())
+        report = RunReport(**json.loads(Path(f"{tmp}/report.json").read_text()))
     assert report.trace is not None
     spec = metric_from_config(config, k)
     lower, upper = tuning_bracket(spec.ratio, k)
@@ -746,7 +746,7 @@ class TestOracle:
             ]
         )
         assert code == 0
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         assert report.utilities["micro"] == 1.0
         assert report.predictions == [[2]]
 
@@ -767,7 +767,7 @@ class TestOracle:
         from metricopt.metrics import MetricSpec, eval_metric
 
         expected, _ = brute_force_oracle(labels, MetricSpec.micro_f1(2), "micro")
-        report = RunReport.from_json(out.read_text())
+        report = RunReport(**json.loads(out.read_text()))
         assert report.utilities["micro"] == expected
 
     @pytest.mark.parametrize("averaging", ["micro", "macro", "instance"])
@@ -783,8 +783,8 @@ class TestOracle:
         preds, oracle_out, eval_out = (tmp_path / name for name in ("p.csv", "o.json", "e.json"))
         assert main(["oracle", *common, "--preds", str(preds), "--out", str(oracle_out)]) == 0
         assert main(["eval", *common, "--preds", str(preds), "--out", str(eval_out)]) == 0
-        oracle = RunReport.from_json(oracle_out.read_text()).utilities[averaging]
-        assert RunReport.from_json(eval_out.read_text()).utilities[averaging] == oracle
+        oracle = RunReport(**json.loads(oracle_out.read_text())).utilities[averaging]
+        assert RunReport(**json.loads(eval_out.read_text())).utilities[averaging] == oracle
 
     def test_instance_with_probabilities_refused(self, tmp_path, rng, capsys):
         TestPostprocess()._write_problem(tmp_path, rng, n=2, m=1, k=2)
@@ -816,7 +816,7 @@ class TestOracle:
         code = main(["oracle", "--labels", str(tmp_path / "labels.csv"), "--metric", "ordinal",
                      "--preds", str(tmp_path / "oracle.csv"), "--out", str(out)])
         assert code == 0
-        assert RunReport.from_json(out.read_text()).wall_clock_s == 100.0
+        assert RunReport(**json.loads(out.read_text())).wall_clock_s == 100.0
 
     def test_oversized_guard_exit_code(self, tmp_path, capsys):
         write_predictions(tmp_path / "labels.csv", LabelMatrix(np.full((30, 1), 2), 3))
@@ -862,7 +862,7 @@ class TestMetricClassCount:
     def _utilities(self, tmp_path, argv, metric):
         out = tmp_path / "report.json"
         assert main([*argv, "--metric", metric, "--out", str(out)]) == 0
-        return RunReport.from_json(out.read_text())
+        return RunReport(**json.loads(out.read_text()))
 
     @pytest.mark.parametrize("kind", ["loss_based", "fractional_linear"])
     def test_eval_widens_to_the_metric(self, tmp_path, rng, kind):
@@ -1012,7 +1012,7 @@ def test_one_class_count_rule_for_every_command(k_labels, k_preds, k_metric, k_p
                 assert (code, err.getvalue()) == (2, f"error: {message}\n"), command
                 continue
             assert code == 0, (command, err.getvalue())
-            report = RunReport.from_json(Path(out).read_text())
+            report = RunReport(**json.loads(Path(out).read_text()))
             if command == "oracle":
                 truth = (LabelMatrix(read_labels(paths["labels"]).values, k) if probs is None
                          else read_probs(paths["probs"]))
@@ -1042,7 +1042,7 @@ class TestTrainLR:
         probs = read_probs(out)
         assert probs.values.shape == (40, 2, 3)
         # --out names the probability file, so the report goes to stdout
-        assert RunReport.from_json(capsys.readouterr().out).command[0] == "train-lr"
+        assert RunReport(**json.loads(capsys.readouterr().out)).command[0] == "train-lr"
 
     def test_negative_iterations_refused(self, tmp_path, rng, capsys):
         write_features(tmp_path / "features.csv", rng.standard_normal((4, 2)))
@@ -1254,7 +1254,7 @@ class TestSeedHandling:
             ]
         )
         assert code == 0
-        assert RunReport.from_json(out.read_text()).seed == 123
+        assert RunReport(**json.loads(out.read_text())).seed == 123
 
     def test_report_json_round_trip(self, tmp_path, rng):
         labels = LabelMatrix(random_labels(rng, 10, 1, 2), 2)
@@ -1271,8 +1271,8 @@ class TestSeedHandling:
                 "--out", str(out),
             ]
         )
-        report = RunReport.from_json(out.read_text())
-        again = RunReport.from_json(report.to_json())
+        report = RunReport(**json.loads(out.read_text()))
+        again = RunReport(**json.loads(report.to_json()))
         assert again == report
 
 

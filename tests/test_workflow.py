@@ -64,13 +64,20 @@ def test_workflow_flags_are_ones_each_script_accepts():
 
 def test_tier1_step_puts_the_criterion_lines_in_the_summary():
     """The tier-1 step keeps pytest's exit status through ``tee`` and greps the
-    acceptance suite's lines, as ``criterion`` and criterion 7 print them, into
-    the step summary."""
+    acceptance suite's lines, as ``criterion`` and criterion 7 print them, and
+    pytest's totals line into the step summary."""
     (step,) = [step for step in _workflow_steps() if step.get("name") == "Tier-1 tests"]
     assert step["shell"] == "bash"
     run = step["run"]
     assert "-rP" in run and "| tee" in run and '>> "$GITHUB_STEP_SUMMARY"' in run
     (pattern,) = re.findall(r"grep -E '([^']+)'", run)
-    printed = ["[criterion 7] PASS - median regret (8.2s)", "        regret medians: 5.43e-04"]
+    printed = [
+        "[criterion 7] PASS - median regret (8.2s)",
+        "        regret medians: 5.43e-04",
+        "466 passed in 28.61s",
+        "1 failed, 465 passed, 2 warnings in 30.12s",
+        "==================== 466 passed in 28.61s ====================",
+    ]
     assert all(re.search(pattern, line) for line in printed)
     assert not re.search(pattern, "[criterion] PASS")
+    assert not re.search(pattern, "8.75s call     tests/test_acceptance.py::test_criterion_7")

@@ -8,8 +8,11 @@ workload's command line then runs under each tree as
 ``python -m metricopt.cli``, with that tree's ``src`` on ``PYTHONPATH``, one
 BLAS thread and its own output directory as the working directory, as the
 benchmark runs it.  Every file a run writes, and its standard output when it
-prints a report, is compared: JSON reports field by field without
-``wall_clock_s``, every other file byte for byte.  No
+prints a report, is compared: JSON reports key by key without
+``wall_clock_s``, down to each entry of their nested objects and lists, every
+other file byte for byte.  A report line names each changed entry by its path,
+as ``report.json trace[1].utilities[49] differs``, and a key or list entry that
+only one tree writes as ``added`` or ``removed``.  No
 workload runs ``oracle`` or a linear metric, so the same comparison also covers
 both on a seeded N=5, M=2, K=3 fixture: ``oracle`` on micro-F1 (3^10
 assignments) with micro, macro and instance averaging on the labels, and micro
@@ -112,6 +115,29 @@ def _report_fields(path: Path) -> dict:
     return report
 
 
+def _json_differences(parent, change, path: str = "") -> list[str]:
+    """Each path at which two JSON trees differ, as ``trace[1].utilities[49] differs``:
+    a key or list entry in one tree only is named ``added`` or ``removed``."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        found = []
+        for key in sorted(parent.keys() | change.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in change:
+                found.append(f"{where} removed")
+            elif key not in parent:
+                found.append(f"{where} added")
+            else:
+                found += _json_differences(parent[key], change[key], where)
+        return found
+    if isinstance(parent, list) and isinstance(change, list):
+        found = [line for i, pair in enumerate(zip(parent, change))
+                 for line in _json_differences(*pair, f"{path}[{i}]")]
+        found += [f"{path}[{i}] removed" for i in range(len(change), len(parent))]
+        found += [f"{path}[{i}] added" for i in range(len(parent), len(change))]
+        return found
+    return [] if parent == change else [f"{path} differs"]
+
+
 def differences(parent_out: Path, change_out: Path) -> list[str]:
     found = []
     names = {path.name for out in (parent_out, change_out) for path in out.iterdir()}
@@ -120,10 +146,7 @@ def differences(parent_out: Path, change_out: Path) -> list[str]:
         if not all(path.exists() for path in paths):
             found.append(f"{name} written by one tree only")
         elif name.endswith(".json"):
-            reports = [_report_fields(path) for path in paths]
-            found += [f"{name} field {key!r} differs"
-                      for key in sorted(reports[0].keys() | reports[1].keys())
-                      if reports[0].get(key) != reports[1].get(key)]
+            found += [f"{name} {line}" for line in _json_differences(*map(_report_fields, paths))]
         elif paths[0].read_bytes() != paths[1].read_bytes():
             found.append(f"{name} differs")
     return found
